@@ -23,9 +23,10 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 # the tier-1 gate run by .github/workflows/ci.yml: fail fast, no
-# install step needed (PYTHONPATH picks up the source tree directly)
+# install step needed (PYTHONPATH picks up the source tree directly);
+# a DeprecationWarning fails the gate, so no shim outlives its release
 ci:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q -W error::DeprecationWarning
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -20,7 +20,7 @@ Quickstart::
     net = repro.network.clique(64)
     rng = repro.workloads.root_rng(7)
     inst = repro.workloads.random_k_subsets(net, w=16, k=2, rng=rng)
-    sched = repro.schedule(inst, rng=rng)  # algo="auto", kernel="auto"
+    sched = repro.schedule(inst, rng=rng)  # algo="auto"
     sched.validate()
     print(sched.makespan, repro.bounds.makespan_lower_bound(inst))
 """
@@ -56,13 +56,11 @@ from .core import (
     get_scheduler,
     open_session,
     resolve_scheduler,
-    schedule_instance,
-    scheduler_for,
 )
 from .core.dispatch import schedule
 from .network import TOPOLOGY_INFO, TopologyInfo, make_network
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "analysis",
@@ -99,8 +97,6 @@ __all__ = [
     "TopologyInfo",
     "TOPOLOGY_INFO",
     "make_network",
-    "schedule_instance",
-    "scheduler_for",
     "get_scheduler",
     "available_schedulers",
     "__version__",

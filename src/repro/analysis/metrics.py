@@ -10,7 +10,6 @@ bound because OPT >= lower_bound), and communication cost.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +53,6 @@ class Evaluation:
             "comm_cost": self.communication_cost,
             "runtime_s": round(self.runtime_s, 4),
         }
-
-    def as_row(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`as_dict` (kept for one release)."""
-        warnings.warn(
-            "Evaluation.as_row() is deprecated; use as_dict()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.as_dict()
 
     def to_json(self) -> str:
         """Full-fidelity JSON envelope (see :mod:`repro.analysis.report`)."""

@@ -2,7 +2,10 @@
 
 Each :class:`BenchSpec` names one timed closure over a shared, seeded
 workload (576 transactions on a 24x24 grid -- above the 512-transaction
-floor where the vectorized kernels earn their keep).  Timing takes the
+floor where the array implementations earn their keep).  Each hot path is
+timed twice: the ``vectorized`` entry runs the production function, the
+``reference`` entry its pure-Python oracle (``build_reference``,
+``greedy_color_reference``, ``execute_reference``).  Timing takes the
 minimum over ``repeats`` runs (minimum, not mean: noise only ever adds
 time), and every snapshot records a calibration measurement of a fixed
 numpy+python workload so times can be compared across machines as
@@ -34,8 +37,9 @@ class BenchSpec:
     """One timed benchmark.
 
     ``setup`` builds the inputs once (untimed); ``run`` is the timed
-    closure, called with setup's result.  Specs sharing a ``group`` with
-    kernels ``reference`` and ``vectorized`` get a speedup entry in the
+    closure, called with setup's result.  ``kernel`` labels the entry
+    (``reference`` for an oracle, ``vectorized`` for production code);
+    specs sharing a ``group`` with both labels get a speedup entry in the
     snapshot.
     """
 
@@ -67,14 +71,12 @@ def _dep_setup():
 
 
 def _color_setup(kernel):
-    """Graph built by the *same* kernel family that will colour it --
-    the pairing each pipeline actually runs."""
+    """Graph built by the same family that will colour it -- the
+    pairing each pipeline actually runs."""
 
     def setup():
-        from ..core.dependency import DependencyGraph
-
         _, inst = _workload()
-        return DependencyGraph.build(inst, kernel=kernel)
+        return _build(kernel)(inst)
 
     return setup
 
@@ -88,7 +90,7 @@ def _execute_setup():
     from ..core.greedy import GreedyScheduler
 
     _, inst = _workload()
-    return GreedyScheduler(kernel="vectorized").schedule(inst)
+    return GreedyScheduler().schedule(inst)
 
 
 def _masked_setup():
@@ -97,41 +99,49 @@ def _masked_setup():
     return net, inst
 
 
-def _dep_run(kernel):
-    from ..core.dependency import DependencyGraph
+def _build(kernel):
+    from ..core.dependency import DependencyGraph, build_reference
 
-    return lambda inst: DependencyGraph.build(inst, kernel=kernel)
+    return build_reference if kernel == "reference" else DependencyGraph.build
 
 
-def _color_run(kernel):
-    from ..core.coloring import greedy_color
+def _color(kernel):
+    from ..core.coloring import greedy_color, greedy_color_reference
 
-    return lambda graph: greedy_color(graph, kernel=kernel)
+    return greedy_color_reference if kernel == "reference" else greedy_color
 
 
 def _pipeline_run(kernel):
-    from ..core.coloring import greedy_color
-    from ..core.dependency import DependencyGraph
+    build, color = _build(kernel), _color(kernel)
+    return lambda inst: color(build(inst))
 
-    def run(inst):
-        return greedy_color(DependencyGraph.build(inst, kernel=kernel),
-                            kernel=kernel)
 
-    return run
+def _reference_schedule(inst):
+    """The greedy schedule assembled from the oracles."""
+    from ..core.greedy import positioning_offset
+    from ..core.schedule import Schedule
+
+    colors = _pipeline_run("reference")(inst)
+    offset = positioning_offset(inst, colors)
+    return Schedule(inst, {tid: c + offset for tid, c in colors.items()})
 
 
 def _schedule_run(kernel):
     from ..core.greedy import GreedyScheduler
 
-    return lambda inst: GreedyScheduler(kernel=kernel).schedule(inst)
+    if kernel == "reference":
+        return _reference_schedule
+    return GreedyScheduler().schedule
 
 
 def _execute_run(kernel):
-    from ..sim.engine import execute
+    from ..sim.engine import execute, execute_reference
+
+    replay = execute_reference if kernel == "reference" else execute
 
     def run(sched):
         sched._itineraries = None  # force a fresh routing pass
-        return execute(sched, kernel=kernel)
+        return replay(sched)
 
     return run
 
@@ -147,8 +157,8 @@ def _masked_run(arg):
 def _specs() -> Tuple[BenchSpec, ...]:
     specs = []
     for group, setupf, runf in (
-        ("dependency_build", lambda kernel: _dep_setup, _dep_run),
-        ("greedy_color", _color_setup, _color_run),
+        ("dependency_build", lambda kernel: _dep_setup, _build),
+        ("greedy_color", _color_setup, _color),
         ("dependency_greedy", lambda kernel: _dep_setup, _pipeline_run),
         ("greedy_schedule", lambda kernel: _schedule_setup, _schedule_run),
         ("execute", lambda kernel: _execute_setup, _execute_run),

@@ -119,7 +119,7 @@ def _run_rebuild(net, homes, txns) -> Dict[str, Any]:
     from ..core.greedy import GreedyScheduler
     from ..core.instance import Instance
 
-    sched = GreedyScheduler(kernel="vectorized")
+    sched = GreedyScheduler()
     active: List = list(txns[:WINDOW])
     # warm: numba/numpy paths and the first instance build are untimed
     used = {o for t in active for o in t.objects}

@@ -125,9 +125,7 @@ def _cmd_schedule(args) -> int:
         "hot": hot_object_instance,
     }[args.workload]
     inst = gen(net, args.objects, args.k, rng)
-    sched_algo = resolve_scheduler(
-        args.scheduler, topology=net.topology.name, kernel=args.kernel
-    )
+    sched_algo = resolve_scheduler(args.scheduler, topology=net.topology.name)
     ev = evaluate(sched_algo, inst, rng)
     print(
         f"{net.topology.name} n={net.n} m={inst.m} w={inst.num_objects} "
@@ -191,8 +189,8 @@ def _cmd_session(args) -> int:
     ]
     latencies = []
     with open_session(
-        net, algo=args.algo, kernel=args.kernel,
-        object_homes=homes, home_policy=args.home_policy,
+        net, algo=args.algo, object_homes=homes,
+        home_policy=args.home_policy,
     ) as sess:
         sess.submit(txns[:args.window])
         sched = sess.current_schedule()
@@ -621,10 +619,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sched.add_argument("--workload", default="random",
                          choices=["random", "zipf", "hot"])
     p_sched.add_argument("--scheduler", default="auto")
-    p_sched.add_argument("--kernel", default="auto",
-                         choices=["auto", "reference", "vectorized"],
-                         help="implementation switch for supporting "
-                              "schedulers")
     p_sched.add_argument("--seed", type=int, default=0)
     p_sched.add_argument("--save", default=None, help="write schedule JSON")
     p_sched.add_argument("--certify", action="store_true",
@@ -647,7 +641,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="cols / beta / ray length where applicable")
     p_sess.add_argument("--algo", default="auto",
                         help="scheduler algo (auto routes by topology)")
-    p_sess.add_argument("--kernel", default="auto")
     p_sess.add_argument("--window", type=int, default=48,
                         help="live transactions kept in flight")
     p_sess.add_argument("--batch", type=int, default=8,

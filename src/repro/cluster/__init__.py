@@ -19,7 +19,7 @@ holds exactly under every supported failure mode.
 
 from ..service.config import LoadControl
 from .chaos import ChaosPlan, WorkerDelay, WorkerKill, WorkerStall
-from .config import ClusterConfig, build_network
+from .config import ClusterConfig
 from .journal import WindowJournal, accounting_digest
 from .report import ClusterReport
 from .shard import ShardedStream, StreamSpec
@@ -39,7 +39,6 @@ __all__ = [
     "WorkerSpec",
     "WorkerStall",
     "accounting_digest",
-    "build_network",
     "run_cluster",
     "worker_main",
 ]

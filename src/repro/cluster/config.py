@@ -10,41 +10,17 @@ first fork, not after three workers have already journaled state.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ClusterError
 from ..faults.backoff import RetryPolicy
-from ..network.graph import Network
 from ..service.config import LoadControl
 
-__all__ = ["ClusterConfig", "build_network"]
+__all__ = ["ClusterConfig"]
 
 _CRASH_POLICIES = ("restart", "strict")
 _STRAGGLER_POLICIES = ("restart", "shed", "strict")
-
-
-def build_network(topology: str, size: int, size2: int | None = None) -> Network:
-    """Deprecated: use :func:`repro.network.network_from_sizes`.
-
-    The hard-coded builder table this function used to hold moved into
-    the :data:`~repro.network.registry.TOPOLOGY_INFO` registry; this
-    wrapper forwards to :func:`~repro.network.registry.network_from_sizes`
-    for one release (deprecated since 1.1.0, removal scheduled for
-    1.2.0; see ``docs/API.md``).
-    """
-    from ..network import network_from_sizes
-
-    warnings.warn(
-        "cluster.build_network() is deprecated since 1.1.0 and will be "
-        "removed in 1.2.0; use repro.network.network_from_sizes(name, "
-        "size, size2) or repro.network.make_network(name, **params) "
-        "(docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return network_from_sizes(topology, size, size2)
 
 
 @dataclass(frozen=True)
@@ -77,10 +53,7 @@ class ClusterConfig:
         ``retry.wait(i) * restart_backoff_s`` seconds; a worker
         crashing more than ``retry.max_retries`` times is retired
         (queued work counted ``lost``) or, under ``on_crash="strict"``,
-        raises :class:`~repro.errors.WorkerCrashError`.  (``restart=``
-        is the pre-1.1.0 spelling: accepted with a
-        :class:`DeprecationWarning` for one release, removal scheduled
-        for 1.2.0.)
+        raises :class:`~repro.errors.WorkerCrashError`.
     restart_backoff_s:
         Wall-seconds per backoff unit (small in tests, larger in
         production runs).
@@ -113,7 +86,6 @@ class ClusterConfig:
     windows: int = 12
     heartbeat_timeout_s: float = 5.0
     poll_interval_s: float = 0.05
-    restart: Optional[RetryPolicy] = None  # deprecated alias for ``retry``
     restart_backoff_s: float = 0.02
     checkpoint_every: int = 8
     on_crash: str = "restart"
@@ -124,29 +96,12 @@ class ClusterConfig:
     control: Optional[LoadControl] = None
 
     def __post_init__(self) -> None:
-        retry = self.retry
-        if self.restart is not None:
-            if retry is None:
-                warnings.warn(
-                    "ClusterConfig(restart=...) is deprecated since 1.1.0 "
-                    "and will be removed in 1.2.0; use retry=... (or a "
-                    "shared LoadControl)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                retry = self.restart
-            elif self.restart != retry:
-                raise ClusterError(
-                    f"conflicting restart budgets: restart={self.restart!r} "
-                    f"(deprecated alias) vs retry={retry!r}"
-                )
-        if retry is None:
+        if self.retry is None:
             retry = (
                 self.control.retry if self.control is not None
                 else RetryPolicy(max_retries=3, max_wait=4)
             )
-        object.__setattr__(self, "retry", retry)
-        object.__setattr__(self, "restart", retry)  # alias stays readable
+            object.__setattr__(self, "retry", retry)
         if self.workers < 1:
             raise ClusterError(f"workers must be >= 1, got {self.workers}")
         if self.windows < 1:

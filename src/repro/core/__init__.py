@@ -8,14 +8,7 @@ scheduler per topology family of §3-§7.
 from .cluster import ClusterScheduler, object_cluster_spread
 from .coloring import greedy_color, validate_coloring
 from .dependency import DependencyGraph
-from .dispatch import (
-    SCHEDULER_INFO,
-    SchedulerInfo,
-    resolve_scheduler,
-    schedule_instance,
-    scheduler_for,
-)
-from .kernels import KERNELS, resolve_kernel
+from .dispatch import SCHEDULER_INFO, SchedulerInfo, resolve_scheduler
 from .greedy import CliqueScheduler, DiameterScheduler, GreedyScheduler
 from .grid import GridScheduler
 from .incremental import (
@@ -69,10 +62,6 @@ __all__ = [
     "SchedulerInfo",
     "SCHEDULER_INFO",
     "resolve_scheduler",
-    "scheduler_for",
-    "schedule_instance",
-    "KERNELS",
-    "resolve_kernel",
     "GREEDY_FAMILY",
     "DistanceMemo",
     "IncrementalConflictGraph",

@@ -64,9 +64,6 @@ class ClusterScheduler(Scheduler):
         The phase-count constant (24 in the paper; E10 ablates it).
     max_rounds_per_phase:
         Safety cap before the deterministic tail takes over.
-    kernel:
-        Implementation switch for the Approach-1 greedy pass (see
-        :mod:`repro.core.kernels`).
     """
 
     def __init__(
@@ -74,14 +71,12 @@ class ClusterScheduler(Scheduler):
         approach: str | int = "auto",
         ln_factor: float = 24.0,
         max_rounds_per_phase: int = 10_000,
-        kernel: str = "auto",
     ) -> None:
         if approach not in ("auto", 1, 2):
             raise ValueError(f"approach must be 'auto', 1 or 2, got {approach!r}")
         self.approach = approach
         self.ln_factor = ln_factor
         self.max_rounds_per_phase = max_rounds_per_phase
-        self.kernel = kernel
 
     # ------------------------------------------------------------------ #
 
@@ -114,7 +109,7 @@ class ClusterScheduler(Scheduler):
         return best
 
     def _approach1(self, instance: Instance, sigma: int) -> Schedule:
-        sched = GreedyScheduler(kernel=self.kernel).schedule(instance)
+        sched = GreedyScheduler().schedule(instance)
         sched.meta.update(
             {"scheduler": self.name, "approach": 1, "sigma": sigma}
         )

@@ -18,9 +18,13 @@ import numpy as np
 
 from ..errors import SchedulingError
 from .dependency import DependencyGraph
-from .kernels import resolve_kernel
 
-__all__ = ["greedy_color", "validate_coloring", "order_vertices"]
+__all__ = [
+    "greedy_color",
+    "greedy_color_reference",
+    "validate_coloring",
+    "order_vertices",
+]
 
 
 def order_vertices(
@@ -47,22 +51,14 @@ def order_vertices(
     raise SchedulingError(f"unknown ordering strategy {strategy!r}")
 
 
-def greedy_color(
-    graph: DependencyGraph,
-    order: Sequence[int] | None = None,
-    kernel: str = "auto",
+def greedy_color_reference(
+    graph: DependencyGraph, order: Sequence[int] | None = None
 ) -> Dict[int, int]:
-    """Colour ``graph`` with colours ``{j * h_max + 1 : j >= 0}``.
+    """Per-vertex set-based form of :func:`greedy_color`: the test oracle.
 
-    Processes vertices in ``order`` (default: ascending tid); each vertex
-    takes the smallest index ``j`` whose colour no coloured neighbour holds.
-    The result satisfies ``color <= Gamma + 1`` (asserted) and the weighted
-    validity condition checked by :func:`validate_coloring`.  ``kernel``
-    selects the implementation (see :mod:`repro.core.kernels`); both
-    assign identical colours.
+    Reads like the §2.3 pseudocode; the parity tests require
+    :func:`greedy_color` to assign the same colours for any order.
     """
-    if resolve_kernel(kernel) == "vectorized":
-        return _greedy_color_vectorized(graph, order)
     h_max = graph.h_max
     colors: Dict[int, int] = {}
     if order is None:
@@ -84,28 +80,38 @@ def greedy_color(
     return colors
 
 
-def _greedy_color_vectorized(
+def greedy_color(
     graph: DependencyGraph, order: Sequence[int] | None = None
 ) -> Dict[int, int]:
-    """Array-state implementation of :func:`greedy_color`.
+    """Colour ``graph`` with colours ``{j * h_max + 1 : j >= 0}``.
+
+    Processes vertices in ``order`` (default: ascending tid); each vertex
+    takes the smallest index ``j`` whose colour no coloured neighbour holds.
+    The result satisfies ``color <= Gamma + 1`` (asserted) and the weighted
+    validity condition checked by :func:`validate_coloring`.  A tid in
+    ``order`` that is not a vertex raises ``KeyError``.
 
     Works on the graph's CSR view with flat slot/neighbour arrays and a
     per-vertex *bitmask* of occupied colour slots (one big-int OR per
     neighbour, lowest-zero-bit extraction for the free slot) instead of
     per-vertex Python dicts and sets.  Picks the same smallest-free slot
-    as the reference for any processing order, so outputs are identical.
+    as :func:`greedy_color_reference` for any processing order.
     """
     tids, indptr, indices, _ = graph.csr()
     m = len(tids)
-    if m == 0:
-        return {}
-    h_max = graph.h_max
     if order is None:
         order_pos = range(m)
     else:
-        order_pos = np.searchsorted(
-            tids, np.asarray(order, dtype=np.int64)
-        ).tolist()
+        want = np.asarray(order, dtype=np.int64)
+        pos = np.searchsorted(tids, want)
+        found = pos < m
+        found[found] = tids[pos[found]] == want[found]
+        if not found.all():
+            raise KeyError(int(want[np.argmin(found)]))
+        order_pos = pos.tolist()
+    if m == 0:
+        return {}
+    h_max = graph.h_max
     ptr = indptr.tolist()
     nbrs = indices.tolist()
     max_deg = int(np.diff(indptr).max()) if len(indices) else 0

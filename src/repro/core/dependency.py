@@ -16,9 +16,8 @@ from typing import Dict, Iterable, Iterator, Tuple
 import numpy as np
 
 from .instance import Instance
-from .kernels import resolve_kernel
 
-__all__ = ["DependencyGraph", "ArrayDependencyGraph"]
+__all__ = ["DependencyGraph", "ArrayDependencyGraph", "build_reference"]
 
 
 class DependencyGraph:
@@ -29,39 +28,17 @@ class DependencyGraph:
 
     @classmethod
     def build(
-        cls,
-        instance: Instance,
-        tids: Iterable[int] | None = None,
-        kernel: str = "auto",
+        cls, instance: Instance, tids: Iterable[int] | None = None
     ) -> "DependencyGraph":
         """Construct ``H`` for ``instance``, optionally restricted to ``tids``.
 
         Distances are measured in the full graph ``G`` even for restricted
         builds (the restriction narrows *which* transactions participate,
-        not how far apart they are).  ``kernel`` selects the construction
-        path (see :mod:`repro.core.kernels`); both produce the same graph.
+        not how far apart they are).  Returns the CSR-backed
+        :class:`ArrayDependencyGraph`; :func:`build_reference` is the
+        per-edge oracle it is tested against.
         """
-        if resolve_kernel(kernel) == "vectorized":
-            return ArrayDependencyGraph.build_arrays(instance, tids)
-        keep = None if tids is None else set(tids)
-        dist = instance.network.dist
-        adj: Dict[int, Dict[int, int]] = {}
-        for t in instance.transactions:
-            if keep is None or t.tid in keep:
-                adj[t.tid] = {}
-        for obj in instance.objects:
-            users = [
-                t
-                for t in instance.users(obj)
-                if keep is None or t.tid in keep
-            ]
-            for i, a in enumerate(users):
-                for b in users[i + 1 :]:
-                    if b.tid not in adj[a.tid]:
-                        d = dist(a.node, b.node)
-                        adj[a.tid][b.tid] = d
-                        adj[b.tid][a.tid] = d
-        return cls(adj)
+        return ArrayDependencyGraph.build_arrays(instance, tids)
 
     # ------------------------------------------------------------------ #
 
@@ -145,8 +122,38 @@ class DependencyGraph:
         )
 
 
+def build_reference(
+    instance: Instance, tids: Iterable[int] | None = None
+) -> DependencyGraph:
+    """Per-edge pure-Python construction of ``H``: the test oracle.
+
+    The readable form of :meth:`DependencyGraph.build` that the paper's
+    definition maps onto; the parity tests require the production build
+    to match it edge for edge.
+    """
+    keep = None if tids is None else set(tids)
+    dist = instance.network.dist
+    adj: Dict[int, Dict[int, int]] = {}
+    for t in instance.transactions:
+        if keep is None or t.tid in keep:
+            adj[t.tid] = {}
+    for obj in instance.objects:
+        users = [
+            t
+            for t in instance.users(obj)
+            if keep is None or t.tid in keep
+        ]
+        for i, a in enumerate(users):
+            for b in users[i + 1 :]:
+                if b.tid not in adj[a.tid]:
+                    d = dist(a.node, b.node)
+                    adj[a.tid][b.tid] = d
+                    adj[b.tid][a.tid] = d
+    return DependencyGraph(adj)
+
+
 class ArrayDependencyGraph(DependencyGraph):
-    """CSR-backed conflict graph built by the vectorized kernel.
+    """CSR-backed conflict graph, the one :meth:`DependencyGraph.build` returns.
 
     Same public surface as :class:`DependencyGraph`; the adjacency dicts
     are materialized lazily, so the hot pipeline (build then colour) never
@@ -174,7 +181,7 @@ class ArrayDependencyGraph(DependencyGraph):
     def build_arrays(
         cls, instance: Instance, tids: Iterable[int] | None = None
     ) -> "ArrayDependencyGraph":
-        """Vectorized construction of ``H`` (see :meth:`DependencyGraph.build`)."""
+        """Array construction of ``H`` (see :meth:`DependencyGraph.build`)."""
         keep = None if tids is None else set(tids)
         kept = [
             t
@@ -289,8 +296,10 @@ class ArrayDependencyGraph(DependencyGraph):
         return iter(self._tids.tolist())
 
     def degree(self, tid: int) -> int:
-        """Number of conflicting transactions."""
+        """Number of conflicting transactions (``KeyError`` if absent)."""
         i = int(np.searchsorted(self._tids, tid))
+        if i == len(self._tids) or self._tids[i] != tid:
+            raise KeyError(tid)
         return int(self._indptr[i + 1] - self._indptr[i])
 
     @property

@@ -16,14 +16,11 @@ default) or ``"incremental"`` (delta repair -- identical output, see
 ``EXPERIMENT_INFO``: one :class:`SchedulerInfo` per algorithm with its
 topology family, approximation bound, and capability flags, so the CLI
 and docs enumerate schedulers from one place instead of hard-coding the
-mapping.  The pre-facade entry points (:func:`scheduler_for`,
-:func:`schedule_instance`) remain as deprecation shims for one final
-release (removal scheduled for 1.2.0; see ``docs/API.md``).
+mapping.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Tuple
 
@@ -36,7 +33,6 @@ from .greedy import CliqueScheduler, DiameterScheduler, GreedyScheduler
 from .grid import GridScheduler
 from .incremental import IncrementalScheduler, SchedulerSession
 from .instance import Instance
-from .kernels import resolve_kernel
 from .line import LineScheduler
 from .schedule import Schedule
 from .scheduler import Scheduler
@@ -48,8 +44,6 @@ __all__ = [
     "SCHEDULER_INFO",
     "schedule",
     "resolve_scheduler",
-    "scheduler_for",
-    "schedule_instance",
 ]
 
 
@@ -60,9 +54,8 @@ class SchedulerInfo:
     ``topologies`` lists the :class:`~repro.network.graph.Topology` family
     names that auto-dispatch routes to this scheduler; ``bound`` is the
     paper's approximation guarantee (human-readable, for listings);
-    ``capabilities`` flags optional constructor features -- ``"kernel"``
-    (accepts the reference/vectorized switch), ``"rng"`` (randomized),
-    ``"order"``/``"compact"`` (greedy-family tuning knobs).
+    ``capabilities`` flags optional constructor features -- ``"rng"``
+    (randomized), ``"order"``/``"compact"`` (greedy-family tuning knobs).
     """
 
     name: str
@@ -71,10 +64,8 @@ class SchedulerInfo:
     capabilities: frozenset
     factory: Callable[..., Scheduler]
 
-    def make(self, kernel: str = "auto", **options) -> Scheduler:
-        """Instantiate the scheduler, forwarding ``kernel`` if supported."""
-        if "kernel" in self.capabilities:
-            options.setdefault("kernel", kernel)
+    def make(self, **options) -> Scheduler:
+        """Instantiate the scheduler with constructor ``options``."""
         return self.factory(**options)
 
 
@@ -85,21 +76,21 @@ SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
             "greedy",
             (),
             "Gamma + 1 = h_max * Delta + 1 colours (§2.3)",
-            frozenset({"kernel", "rng", "order", "compact"}),
+            frozenset({"rng", "order", "compact"}),
             GreedyScheduler,
         ),
         SchedulerInfo(
             "clique",
             ("clique",),
             "O(k): k * ell + 1 (Thm 1)",
-            frozenset({"kernel", "rng", "order", "compact"}),
+            frozenset({"rng", "order", "compact"}),
             CliqueScheduler,
         ),
         SchedulerInfo(
             "diameter",
             ("hypercube", "butterfly", "ddim-grid", "torus"),
             "O(k d): k * ell * d + 1 (§3.1)",
-            frozenset({"kernel", "rng", "order", "compact"}),
+            frozenset({"rng", "order", "compact"}),
             DiameterScheduler,
         ),
         SchedulerInfo(
@@ -113,21 +104,21 @@ SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
             "grid",
             ("grid",),
             "O(k log m) w.h.p. (Thm 3)",
-            frozenset({"kernel"}),
+            frozenset(),
             GridScheduler,
         ),
         SchedulerInfo(
             "cluster",
             ("cluster",),
             "O(min(k beta, 40^k ln^k m)) (Thm 4)",
-            frozenset({"kernel", "rng"}),
+            frozenset({"rng"}),
             ClusterScheduler,
         ),
         SchedulerInfo(
             "star",
             ("star",),
             "O(log beta * min(k beta, c^k ln^k m)) (Thm 5)",
-            frozenset({"kernel", "rng"}),
+            frozenset({"rng"}),
             StarScheduler,
         ),
         SchedulerInfo(
@@ -135,35 +126,35 @@ SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
             ("shard-cluster", "fog-hierarchy"),
             "intra phases in parallel + serial cross-shard phase "
             "(arXiv:2405.15015)",
-            frozenset({"kernel"}),
+            frozenset(),
             ShardedScheduler,
         ),
         SchedulerInfo(
             "sharded-cluster",
             (),
             "sharded with Alg-1 randomized cross-phase rounds (w.h.p.)",
-            frozenset({"kernel", "rng"}),
+            frozenset({"rng"}),
             ShardedClusterScheduler,
         ),
         SchedulerInfo(
             "incremental",
             (),
             "Gamma + 1 (== greedy, §2.3), delta-maintained",
-            frozenset({"kernel"}),
+            frozenset(),
             IncrementalScheduler,
         ),
         SchedulerInfo(
             "incremental-clique",
             (),
             "O(k): k * ell + 1 (Thm 1), delta-maintained",
-            frozenset({"kernel"}),
+            frozenset(),
             lambda **options: IncrementalScheduler(base="clique", **options),
         ),
         SchedulerInfo(
             "incremental-diameter",
             (),
             "O(k d): k * ell * d + 1 (§3.1), delta-maintained",
-            frozenset({"kernel"}),
+            frozenset(),
             lambda **options: IncrementalScheduler(base="diameter", **options),
         ),
     )
@@ -182,7 +173,6 @@ def resolve_scheduler(
     algo: str = "auto",
     *,
     topology: str | None = None,
-    kernel: str = "auto",
     **options,
 ) -> Scheduler:
     """Instantiate a scheduler by algorithm name or topology family.
@@ -190,8 +180,7 @@ def resolve_scheduler(
     ``algo="auto"`` picks the paper's scheduler for ``topology`` (falling
     back to greedy for unknown families).  Any :data:`SCHEDULER_INFO`
     name, or any name in the wider :func:`~repro.core.scheduler.register`
-    registry (baselines included), also works; ``kernel`` is forwarded
-    only to schedulers that declare the capability.
+    registry (baselines included), also works.
     """
     if algo == "auto":
         info = SCHEDULER_INFO[_TOPOLOGY_TO_ALGO.get(topology, "greedy")]
@@ -201,7 +190,7 @@ def resolve_scheduler(
         from .scheduler import get_scheduler
 
         return get_scheduler(algo, **options)
-    return info.make(kernel=kernel, **options)
+    return info.make(**options)
 
 
 def schedule(
@@ -209,7 +198,6 @@ def schedule(
     network=None,
     *,
     algo: str = "auto",
-    kernel: str = "auto",
     mode: str | None = None,
     rng: np.random.Generator | None = None,
     **options,
@@ -234,10 +222,6 @@ def schedule(
         ``"auto"`` (topology-appropriate paper scheduler, the default) or
         an explicit scheduler name -- any :data:`SCHEDULER_INFO` entry or
         registered baseline.
-    kernel:
-        ``"auto"``, ``"reference"``, or ``"vectorized"`` (see
-        :mod:`repro.core.kernels`); forwarded to schedulers that support
-        the switch.  Both kernels produce identical schedules.
     mode:
         ``"batch"`` (rebuild-and-color, the default) or ``"incremental"``
         (delta-repair engine; greedy family only).  Both modes produce
@@ -254,7 +238,6 @@ def schedule(
             "schedule(): `network` must be the instance's own network; "
             "rebuild the Instance to schedule on a different topology"
         )
-    resolve_kernel(kernel)  # fail fast on typos, before any work
     if mode is None:
         mode = "incremental" if algo.startswith("incremental") else "batch"
     if mode not in ("batch", "incremental"):
@@ -270,7 +253,6 @@ def schedule(
     with SchedulerSession(
         instance.network,
         algo=algo,
-        kernel=kernel,
         mode=mode,
         object_homes=homes,
         rng=rng,
@@ -280,34 +262,3 @@ def schedule(
         sess.submit(instance.transactions)
         return sess.current_schedule(instance=instance)
 
-
-# ---------------------------------------------------------------------- #
-# pre-facade entry points (deprecated)
-# ---------------------------------------------------------------------- #
-
-
-def scheduler_for(instance: Instance) -> Scheduler:
-    """Deprecated: use :func:`resolve_scheduler` (or :func:`schedule`)."""
-    warnings.warn(
-        "scheduler_for() is deprecated since 1.1.0 and will be removed in "
-        "1.2.0; migrate to repro.schedule(instance) for one-shot scheduling, "
-        "resolve_scheduler(topology=...) for a scheduler object, or "
-        "repro.open_session(network) for rolling workloads (docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_scheduler(topology=instance.network.topology.name)
-
-
-def schedule_instance(
-    instance: Instance, rng: np.random.Generator | None = None
-) -> Schedule:
-    """Deprecated: use :func:`schedule`."""
-    warnings.warn(
-        "schedule_instance() is deprecated since 1.1.0 and will be removed "
-        "in 1.2.0; migrate to repro.schedule(instance) or "
-        "repro.open_session(network) for rolling workloads (docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return schedule(instance, rng=rng)

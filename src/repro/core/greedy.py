@@ -62,29 +62,18 @@ class GreedyScheduler(Scheduler):
         coloured schedule: keeps the colouring's commit order (and hence
         the theorem bound, which can only improve) while shifting every
         commit to the earliest step its objects can actually arrive.
-    kernel:
-        Implementation switch for the dependency build and colouring
-        passes (``"reference"``, ``"vectorized"``, or ``"auto"``; see
-        :mod:`repro.core.kernels`).  Both kernels produce identical
-        schedules.
     """
 
-    def __init__(
-        self,
-        order: str = "id",
-        compact: bool = False,
-        kernel: str = "auto",
-    ) -> None:
+    def __init__(self, order: str = "id", compact: bool = False) -> None:
         self.order = order
         self.compact = compact
-        self.kernel = kernel
 
     def schedule(
         self, instance: Instance, rng: np.random.Generator | None = None
     ) -> Schedule:
-        graph = DependencyGraph.build(instance, kernel=self.kernel)
+        graph = DependencyGraph.build(instance)
         order = order_vertices(graph, self.order, rng)
-        colors = greedy_color(graph, order, kernel=self.kernel)
+        colors = greedy_color(graph, order)
         offset = positioning_offset(instance, colors)
         commits = {tid: c + offset for tid, c in colors.items()}
         meta = {

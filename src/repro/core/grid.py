@@ -48,20 +48,13 @@ class GridScheduler(Scheduler):
     side:
         Explicit subgrid side override (wins over ``xi_factor``); used by
         tests and the ablation bench.
-    kernel:
-        Implementation switch for the inner greedy sub-schedules (see
-        :mod:`repro.core.kernels`).
     """
 
     def __init__(
-        self,
-        xi_factor: float = 27.0,
-        side: int | None = None,
-        kernel: str = "auto",
+        self, xi_factor: float = 27.0, side: int | None = None
     ) -> None:
         self.xi_factor = xi_factor
         self.side = side
-        self.kernel = kernel
 
     def subgrid_side(self, instance: Instance) -> int:
         """Side length ``sqrt(xi)`` (clamped to ``[1, max(rows, cols)]``)."""
@@ -103,7 +96,7 @@ class GridScheduler(Scheduler):
             members.setdefault((r // side, c // side), []).append(t.tid)
 
         state = PhaseState(instance)
-        inner = GreedyScheduler(kernel=self.kernel)
+        inner = GreedyScheduler()
         internal_spans: list[int] = []
         for key in order:
             tids = members.get(key)

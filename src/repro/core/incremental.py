@@ -50,7 +50,6 @@ from ..obs.events import SessionDeltaEvent
 from ..obs.recorder import Recorder, active
 from .dependency import ArrayDependencyGraph
 from .instance import Instance
-from .kernels import resolve_kernel
 from .schedule import Schedule
 from .scheduler import Scheduler, register
 from .transaction import Transaction
@@ -477,7 +476,6 @@ class SchedulerSession:
         network,
         *,
         algo: str = "auto",
-        kernel: str = "auto",
         mode: str = "auto",
         object_homes: Optional[Dict[int, int]] = None,
         home_policy: str = "static",
@@ -497,9 +495,7 @@ class SchedulerSession:
                 f"unknown home_policy {home_policy!r}; "
                 f"expected one of {_HOME_POLICIES}"
             )
-        resolve_kernel(kernel)  # fail fast on typos
         self.network = network
-        self.kernel = kernel
         self.home_policy = home_policy
         base = algo
         if algo == "auto":
@@ -555,7 +551,6 @@ class SchedulerSession:
             self._scheduler = resolve_scheduler(
                 base,
                 topology=network.topology.name,
-                kernel=kernel,
                 **self._options,
             )
             self._active = {}
@@ -944,7 +939,6 @@ class SchedulerSession:
         return {
             "mode": self.mode,
             "algo": self.algo,
-            "kernel": self.kernel,
             "home_policy": self.home_policy,
             "epoch": self._epoch,
             "closed": self._closed,
@@ -968,10 +962,7 @@ class SchedulerSession:
 
 
 def open_session(
-    network,
-    algo: str = "auto",
-    kernel: str = "auto",
-    **kwargs: Any,
+    network, algo: str = "auto", **kwargs: Any
 ) -> SchedulerSession:
     """Open a :class:`SchedulerSession` on ``network``.
 
@@ -986,7 +977,7 @@ def open_session(
             print(sess.current_schedule().makespan)
             sess.commit()
     """
-    return SchedulerSession(network, algo=algo, kernel=kernel, **kwargs)
+    return SchedulerSession(network, algo=algo, **kwargs)
 
 
 @register("incremental")
@@ -1001,10 +992,7 @@ class IncrementalScheduler(Scheduler):
     """
 
     def __init__(
-        self,
-        base: str = "greedy",
-        kernel: str = "auto",
-        rebuild_threshold: float = 0.5,
+        self, base: str = "greedy", rebuild_threshold: float = 0.5
     ) -> None:
         if base not in GREEDY_FAMILY:
             raise SessionError(
@@ -1012,7 +1000,6 @@ class IncrementalScheduler(Scheduler):
                 f"got {base!r}"
             )
         self.base = base
-        self.kernel = kernel
         self.rebuild_threshold = rebuild_threshold
         self.name = "incremental" if base == "greedy" else f"incremental-{base}"
 
@@ -1023,7 +1010,6 @@ class IncrementalScheduler(Scheduler):
         with SchedulerSession(
             instance.network,
             algo=self.base,
-            kernel=self.kernel,
             mode="incremental",
             object_homes=homes,
             rebuild_threshold=self.rebuild_threshold,

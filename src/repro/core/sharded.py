@@ -119,9 +119,6 @@ class ShardedScheduler(Scheduler):
         colouring over the post-intra object positions, the default) or
         ``"rounds"`` (the §6 randomized activation-round protocol with
         shards as groups; see :class:`ShardedClusterScheduler`).
-    kernel:
-        Implementation switch for the greedy passes (see
-        :mod:`repro.core.kernels`).
     ln_factor / max_rounds_per_phase:
         Round-protocol knobs, used only with ``cross="rounds"``.
     """
@@ -129,7 +126,6 @@ class ShardedScheduler(Scheduler):
     def __init__(
         self,
         cross: str = "greedy",
-        kernel: str = "auto",
         ln_factor: float = 24.0,
         max_rounds_per_phase: int = 10_000,
     ) -> None:
@@ -138,7 +134,6 @@ class ShardedScheduler(Scheduler):
                 f"cross must be 'greedy' or 'rounds', got {cross!r}"
             )
         self.cross = cross
-        self.kernel = kernel
         self.ln_factor = ln_factor
         self.max_rounds_per_phase = max_rounds_per_phase
 
@@ -150,7 +145,7 @@ class ShardedScheduler(Scheduler):
         net: Network = instance.network
         members = shard_members(net)  # TopologyError on unsharded families
         split = shard_split(instance)
-        greedy = GreedyScheduler(kernel=self.kernel)
+        greedy = GreedyScheduler()
 
         commits: Dict[int, int] = {}
         positions = dict(instance.object_homes)
@@ -226,14 +221,10 @@ class ShardedClusterScheduler(ShardedScheduler):
     """
 
     def __init__(
-        self,
-        kernel: str = "auto",
-        ln_factor: float = 24.0,
-        max_rounds_per_phase: int = 10_000,
+        self, ln_factor: float = 24.0, max_rounds_per_phase: int = 10_000
     ) -> None:
         super().__init__(
             cross="rounds",
-            kernel=kernel,
             ln_factor=ln_factor,
             max_rounds_per_phase=max_rounds_per_phase,
         )

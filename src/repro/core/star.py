@@ -56,17 +56,10 @@ def ray_segments(beta: int) -> list[tuple[int, int]]:
 
 @register("star")
 class StarScheduler(Scheduler):
-    """Theorem 5 scheduler: per-ring periods with cluster-style scheduling.
+    """Theorem 5 scheduler: per-ring periods with cluster-style scheduling."""
 
-    ``kernel`` switches the implementation of the per-period greedy passes
-    (see :mod:`repro.core.kernels`).
-    """
-
-    def __init__(
-        self, max_rounds_per_phase: int = 10_000, kernel: str = "auto"
-    ) -> None:
+    def __init__(self, max_rounds_per_phase: int = 10_000) -> None:
         self.max_rounds_per_phase = max_rounds_per_phase
-        self.kernel = kernel
 
     def schedule(
         self, instance: Instance, rng: np.random.Generator | None = None
@@ -88,7 +81,7 @@ class StarScheduler(Scheduler):
 
         center_txn = instance.transaction_at(center)
         if center_txn is not None:
-            run_phase(state, [center_txn.tid], GreedyScheduler(kernel=self.kernel))
+            run_phase(state, [center_txn.tid], GreedyScheduler())
 
         for seg_idx, (start, stop) in enumerate(ray_segments(beta), start=1):
             groups = []
@@ -137,7 +130,7 @@ class StarScheduler(Scheduler):
         trial.time = state.time
         trial.positions = dict(state.positions)
         trial.commits = dict(state.commits)
-        run_phase(trial, tids, GreedyScheduler(kernel=self.kernel))
+        run_phase(trial, tids, GreedyScheduler())
         new_commits = {
             t: c for t, c in trial.commits.items() if t not in state.commits
         }

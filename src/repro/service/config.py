@@ -4,11 +4,8 @@
 window length, backpressure watermarks, admission policy, and the
 bounded retry budget -- consumed by both the in-process service
 (:class:`ServiceConfig`) and the multi-process cluster
-(:class:`~repro.cluster.ClusterConfig`).  Before 1.1.0 the two configs
-spelled the same knobs differently (``policy`` vs crash policies,
-``retry`` vs ``restart``); the old spellings are still accepted for one
-release with a :class:`DeprecationWarning`, and conflicting old/new
-spellings are a hard error rather than a silent pick.
+(:class:`~repro.cluster.ClusterConfig`), so both spell each knob the
+same way.
 
 :class:`ServiceConfig` bundles every robustness policy the service
 applies -- window length, backpressure watermarks and admission policy,
@@ -20,7 +17,6 @@ not three thousand windows in.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,9 +105,7 @@ class ServiceConfig:
         What a closed gate does with a release: ``"defer"`` queues it
         FIFO (nothing lost), ``"shed"`` refuses it permanently with a
         typed reason, ``"strict"`` raises
-        :class:`~repro.errors.OverloadError`.  (``policy=`` is the
-        pre-1.1.0 spelling: accepted with a :class:`DeprecationWarning`
-        for one release, removal scheduled for 1.2.0.)
+        :class:`~repro.errors.OverloadError`.
     deadline:
         Optional max sojourn (steps since release) before a waiting
         transaction expires; ``None`` disables expiry.
@@ -142,7 +136,7 @@ class ServiceConfig:
         :func:`~repro.online.run_resilient` runtime; ``"auto"`` (default)
         picks ``batch`` for fault-free service and ``reactive`` once a
         fault plan is attached.
-    algo / kernel:
+    algo:
         Forwarded to the scheduler session by the batch engine.
     control:
         Optional shared :class:`LoadControl` supplying the
@@ -152,7 +146,6 @@ class ServiceConfig:
     window: Optional[int] = None
     high_water: Optional[int] = None
     low_water: Optional[int] = None
-    policy: Optional[str] = None  # deprecated alias for ``admission``
     deadline: Optional[int] = None
     on_expiry: str = "drop"
     retry: Optional[RetryPolicy] = None
@@ -162,32 +155,13 @@ class ServiceConfig:
     on_saturation: str = "shed"
     engine: str = "auto"
     algo: str = "auto"
-    kernel: str = "auto"
     admission: Optional[str] = None
     control: Optional[LoadControl] = None
 
     def __post_init__(self) -> None:
         control = self.control if self.control is not None else LoadControl()
-        admission = self.admission
-        if self.policy is not None:
-            if admission is None:
-                warnings.warn(
-                    "ServiceConfig(policy=...) is deprecated since 1.1.0 "
-                    "and will be removed in 1.2.0; use admission=... (or a "
-                    "shared LoadControl)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                admission = self.policy
-            elif self.policy != admission:
-                raise ServiceError(
-                    f"conflicting admission settings: policy={self.policy!r} "
-                    f"(deprecated alias) vs admission={admission!r}"
-                )
-        if admission is None:
-            admission = control.admission
-        object.__setattr__(self, "admission", admission)
-        object.__setattr__(self, "policy", admission)  # alias stays readable
+        if self.admission is None:
+            object.__setattr__(self, "admission", control.admission)
         if self.window is None:
             object.__setattr__(self, "window", control.window)
         if self.high_water is None:

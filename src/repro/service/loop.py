@@ -162,7 +162,6 @@ class SchedulingService:
             self._session = SchedulerSession(
                 stream.network,
                 algo=self.config.algo,
-                kernel=self.config.kernel,
                 mode="auto",
                 object_homes=dict(stream.object_homes),
                 home_policy="static",

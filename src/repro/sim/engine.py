@@ -20,7 +20,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core.kernels import resolve_kernel
 from ..core.schedule import Schedule
 from ..errors import InfeasibleScheduleError
 from ..obs import events as obs_events
@@ -28,28 +27,22 @@ from ..obs.recorder import Recorder, active
 from .routing import Leg, plan_leg
 from .trace import CommitEvent, Trace
 
-__all__ = ["execute"]
+__all__ = ["execute", "execute_reference"]
 
 
-def execute(
+def execute_reference(
     schedule: Schedule,
     record_commits: bool = True,
     recorder: Recorder | None = None,
-    kernel: str = "auto",
 ) -> Trace:
-    """Run ``schedule`` through the synchronous engine.
+    """Hop-by-hop form of :func:`execute`: the test oracle.
 
-    Raises :class:`InfeasibleScheduleError` if any object cannot make a
-    scheduled trip in time or any transaction commits without its objects
-    present.  Returns the execution trace.  ``recorder`` is an optional
-    :class:`~repro.obs.Recorder` observability sink; recording is passive
-    (the returned trace is identical with or without it).  ``kernel``
-    selects the replay implementation (see :mod:`repro.core.kernels`);
-    both produce field-by-field identical traces, recorded events
-    included.
+    Plans every leg with :func:`~repro.sim.routing.plan_leg` and checks
+    each commit against per-visit presence intervals, one object at a
+    time.  The parity tests require :func:`execute` to return a
+    field-by-field identical trace, raise the identical error message,
+    and record the identical event stream.
     """
-    if resolve_kernel(kernel) == "vectorized":
-        return _execute_vectorized(schedule, record_commits, recorder)
     rec = active(recorder)
     inst = schedule.instance
     net = inst.network
@@ -180,12 +173,18 @@ def execute(
     )
 
 
-def _execute_vectorized(
+def execute(
     schedule: Schedule,
     record_commits: bool = True,
     recorder: Recorder | None = None,
 ) -> Trace:
-    """Array-based implementation of :func:`execute`.
+    """Run ``schedule`` through the synchronous engine.
+
+    Raises :class:`InfeasibleScheduleError` if any object cannot make a
+    scheduled trip in time or any transaction commits without its objects
+    present.  Returns the execution trace.  ``recorder`` is an optional
+    :class:`~repro.obs.Recorder` observability sink; recording is passive
+    (the returned trace is identical with or without it).
 
     One Python pass flattens every itinerary into parallel leg arrays;
     arrivals are a single batched gather from the cached distance matrix

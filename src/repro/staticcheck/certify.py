@@ -354,7 +354,6 @@ def certify_schedule(
     schedule: Schedule,
     *,
     strict: bool = True,
-    kernel: str = "auto",
 ) -> Certificate:
     """Statically certify ``schedule`` (no execution, no randomness).
 
@@ -362,11 +361,10 @@ def certify_schedule(
     :class:`Certificate`.  With ``strict`` (the default) a failing check
     raises :class:`~repro.errors.CertificationError` naming the failed
     checks; ``strict=False`` returns the certificate with ``ok=False``
-    so callers can inspect or persist the rejection.  ``kernel`` selects
-    the dependency-graph construction path (both build the same graph).
+    so callers can inspect or persist the rejection.
     """
     inst = schedule.instance
-    graph = DependencyGraph.build(inst, kernel=kernel)
+    graph = DependencyGraph.build(inst)
     lower = makespan_lower_bound(inst)
     checks: List[CheckResult] = [
         _check_coverage(schedule),

@@ -114,8 +114,8 @@ class WallClockRule(Rule):
     """DET002: deterministic engines must not read the wall clock.
 
     Scoped to the engine packages (``sim/``, ``core/``, ``online/``,
-    ``faults/``), whose outputs are compared bit-for-bit across kernels
-    and replays.  ``time.perf_counter`` is allowed -- the observability
+    ``faults/``), whose outputs are compared bit-for-bit against the
+    reference oracles and across replays.  ``time.perf_counter`` is allowed -- the observability
     layer uses it for timings that are explicitly excluded from parity.
     """
 

@@ -49,12 +49,11 @@ class TestEvaluate:
         }
 
     def test_as_row_deprecated_shim(self):
+        # the 1.0 alias was removed on its published 1.2.0 schedule
         rng = np.random.default_rng(3)
         inst = random_k_subsets(clique(8), w=3, k=2, rng=rng)
         ev = evaluate(GreedyScheduler(), inst, rng)
-        with pytest.warns(DeprecationWarning):
-            row = ev.as_row()
-        assert row == ev.as_dict()
+        assert not hasattr(ev, "as_row")
 
 
 class TestStats:

@@ -75,10 +75,10 @@ def test_registry_schedulers_satisfy_contract():
 def test_version_is_consistent():
     import repro
 
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "1.2.0"
     import pathlib
 
     # repro/__init__.py -> src/repro -> src -> repo root
     pyproject = pathlib.Path(repro.__file__).parents[2] / "pyproject.toml"
     assert pyproject.exists(), pyproject
-    assert 'version = "1.1.0"' in pyproject.read_text()
+    assert 'version = "1.2.0"' in pyproject.read_text()

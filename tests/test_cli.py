@@ -248,17 +248,6 @@ class TestClusterAssignFlag:
         assert "cross-shard" in out
 
 
-class TestScheduleKernelFlag:
-    def test_kernel_choices_agree(self, capsys):
-        from repro.cli import main
-
-        for kernel in ("reference", "vectorized"):
-            assert main([
-                "schedule", "--topology", "clique", "--size", "8",
-                "--objects", "6", "--k", "2", "--kernel", kernel,
-            ]) == 0
-
-
 class TestServiceCommand:
     def test_service_runs_and_reports(self, capsys):
         rc = main([

@@ -28,7 +28,6 @@ from repro.cluster import (
     WorkerKill,
     WorkerStall,
     accounting_digest,
-    build_network,
     run_cluster,
 )
 from repro.cluster.wire import (
@@ -46,7 +45,7 @@ from repro.errors import (
 )
 from repro.faults.backoff import RetryPolicy
 from repro.errors import TopologyError
-from repro.network import grid, node_shards, shard_cluster
+from repro.network import grid, network_from_sizes, node_shards, shard_cluster
 from repro.service import SchedulingService, ServiceConfig
 
 STREAM = StreamSpec(kind="poisson", w=16, k=2, rate=0.6, seed=7)
@@ -387,7 +386,7 @@ class TestClusterConfig:
 
     def test_build_network_rejects_unknown_topology(self):
         with pytest.raises(ReproError, match="unknown topology"):
-            build_network("moebius", 3)
+            network_from_sizes("moebius", 3)
 
 
 class TestClusterRuns:
@@ -600,17 +599,6 @@ class TestClusterReport:
         back = ClusterReport.from_json(json.dumps(envelope))
         assert back.cross_shard == 0
         assert back.released == rep.released
-
-
-class TestBuildNetworkDeprecation:
-    def test_forwards_and_warns(self):
-        from repro.network import network_from_sizes
-
-        with pytest.warns(DeprecationWarning, match="network_from_sizes"):
-            net = build_network("shard-cluster", 3, 4)
-        assert net.topology == network_from_sizes(
-            "shard-cluster", 3, 4
-        ).topology
 
 
 class TestClusterCli:

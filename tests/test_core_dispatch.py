@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    available_schedulers,
-    get_scheduler,
-    schedule_instance,
-    scheduler_for,
-)
+from repro.core import available_schedulers, get_scheduler
 from repro.core.dispatch import resolve_scheduler, schedule
 from repro.core.cluster import ClusterScheduler
 from repro.core.greedy import CliqueScheduler, DiameterScheduler, GreedyScheduler
@@ -126,12 +121,14 @@ class TestScheduleFacade:
         repro.schedule(inst, algo="sequential", rng=rng).validate()
 
     def test_kernel_typo_fails_fast(self):
+        # the kernel switch is gone: any kernel= is an unknown scheduler
+        # option, rejected when the session opens, before any work
         import repro
 
         net = clique(4)
         rng = np.random.default_rng(6)
         inst = random_k_subsets(net, w=4, k=2, rng=rng)
-        with pytest.raises(SchedulingError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             repro.schedule(inst, kernel="simd")
 
     def test_foreign_network_rejected(self):
@@ -151,13 +148,19 @@ class TestScheduleFacade:
 
     def test_reference_and_vectorized_agree_through_facade(self):
         import repro
+        from repro.core.coloring import greedy_color_reference
+        from repro.core.dependency import build_reference
+        from repro.core.greedy import positioning_offset
 
         net = grid(4)
         rng = np.random.default_rng(9)
         inst = random_k_subsets(net, w=8, k=2, rng=rng)
-        ref = repro.schedule(inst, kernel="reference")
-        vec = repro.schedule(inst, kernel="vectorized")
-        assert ref.commit_times == vec.commit_times
+        colors = greedy_color_reference(build_reference(inst))
+        offset = positioning_offset(inst, colors)
+        sched = repro.schedule(inst, algo="greedy")
+        assert sched.commit_times == {
+            tid: c + offset for tid, c in colors.items()
+        }
 
 
 class TestSchedulerInfo:
@@ -179,14 +182,6 @@ class TestSchedulerInfo:
             sched = info.make()
             assert hasattr(sched, "schedule")
 
-    def test_kernel_forwarded_only_when_supported(self):
-        from repro.core import SCHEDULER_INFO
-
-        greedy = SCHEDULER_INFO["greedy"].make(kernel="reference")
-        assert greedy.kernel == "reference"
-        # LineScheduler has no kernel parameter; make() must not pass one
-        SCHEDULER_INFO["line"].make(kernel="reference")
-
 
 class TestIncrementalDispatch:
     """mode= on the facade and the incremental registry entries."""
@@ -198,7 +193,6 @@ class TestIncrementalDispatch:
                      "incremental-diameter"):
             info = SCHEDULER_INFO[name]
             assert info.topologies == ()
-            assert "kernel" in info.capabilities
             sched = info.make()
             assert sched.name == name
 
@@ -237,19 +231,3 @@ class TestIncrementalDispatch:
         with pytest.raises(SchedulingError, match="mode"):
             schedule(inst, mode="turbo")
 
-
-class TestDeprecationShims:
-    def test_scheduler_for_warns_and_delegates(self):
-        net = line(8)
-        rng = np.random.default_rng(10)
-        inst = random_k_subsets(net, w=4, k=2, rng=rng)
-        with pytest.warns(DeprecationWarning, match="resolve_scheduler"):
-            sched = scheduler_for(inst)
-        assert isinstance(sched, LineScheduler)
-
-    def test_schedule_instance_warns_and_delegates(self):
-        net = clique(5)
-        rng = np.random.default_rng(11)
-        inst = random_k_subsets(net, w=4, k=2, rng=rng)
-        with pytest.warns(DeprecationWarning, match="repro.schedule"):
-            schedule_instance(inst, rng).validate()

@@ -1,16 +1,15 @@
-"""Tests for the shared LoadControl vocabulary and the 1.1.0 renames.
+"""Tests for the shared LoadControl vocabulary.
 
 Since 1.1.0 the service and the cluster spell their load-management
 knobs identically and can share one :class:`LoadControl`; the pre-1.1.0
 spellings (``ServiceConfig(policy=...)``, ``ClusterConfig(restart=...)``)
-are accepted for one release with a :class:`DeprecationWarning`, and a
-conflicting old/new pair is a hard typed error, never a silent pick.
+were removed in 1.2.0.
 """
 
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.errors import ClusterError, ServiceError
+from repro.errors import ServiceError
 from repro.faults.backoff import RetryPolicy
 from repro.service import LoadControl, ServiceConfig
 
@@ -44,24 +43,6 @@ class TestLoadControl:
 
 
 class TestServiceConfigAliases:
-    def test_policy_alias_warns_and_maps_to_admission(self):
-        with pytest.warns(DeprecationWarning, match="removed in 1.2.0"):
-            cfg = ServiceConfig(policy="shed")
-        assert cfg.admission == "shed"
-        assert cfg.policy == "shed"  # alias stays readable post-init
-
-    def test_conflicting_policy_and_admission_is_an_error(self):
-        with pytest.raises(ServiceError, match="conflicting admission"):
-            ServiceConfig(policy="shed", admission="defer")
-
-    def test_agreeing_policy_and_admission_accepted_silently(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = ServiceConfig(policy="shed", admission="shed")
-        assert cfg.admission == "shed"
-
     def test_new_spelling_never_warns(self):
         import warnings
 
@@ -72,20 +53,6 @@ class TestServiceConfigAliases:
 
 
 class TestClusterConfigAliases:
-    def test_restart_alias_warns_and_maps_to_retry(self):
-        budget = RetryPolicy(max_retries=5)
-        with pytest.warns(DeprecationWarning, match="removed in 1.2.0"):
-            cfg = ClusterConfig(restart=budget)
-        assert cfg.retry == budget
-        assert cfg.restart == budget  # alias stays readable post-init
-
-    def test_conflicting_restart_and_retry_is_an_error(self):
-        with pytest.raises(ClusterError, match="conflicting restart"):
-            ClusterConfig(
-                restart=RetryPolicy(max_retries=5),
-                retry=RetryPolicy(max_retries=2),
-            )
-
     def test_new_spelling_never_warns(self):
         import warnings
 

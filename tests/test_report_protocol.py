@@ -124,8 +124,3 @@ class TestProtocol:
         for rep in (_evaluation(), _degradation(), _online_degradation()):
             assert isinstance(rep, Report)
             assert isinstance(rep.as_dict(), dict)
-
-    def test_as_row_is_deprecated(self):
-        ev = _evaluation()
-        with pytest.warns(DeprecationWarning, match="as_row"):
-            assert ev.as_row() == ev.as_dict()
