@@ -203,6 +203,12 @@ class FaultPlan:
                 self._stalls.setdefault(e.obj, []).append(e)
             elif isinstance(e, DelaySpike):
                 self._spikes.setdefault((e.u, e.v), []).append(e)
+        #: links some failure or delay spike ever touches (``u < v``)
+        self.faulty_links: FrozenSet[Edge] = frozenset(
+            self._link_failures.keys() | self._spikes.keys()
+        )
+        #: objects some stall ever freezes
+        self.stalled_objects: FrozenSet[int] = frozenset(self._stalls)
 
         if network is not None:
             self.validate_against(network)

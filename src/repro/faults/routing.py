@@ -73,10 +73,12 @@ def path_avoiding(
     """
     if src == dst:
         return [src]
-    if not down:
-        return net.shortest_path(src, dst)
+    base = net.shortest_path(src, dst)
+    if not down or not _uses_down(base, down):
+        return base
+    # the detours are only built once the shortest path is known blocked
     slack = 2 * int(net.distance_matrix.max())
-    for path in detour_candidates(net, src, dst, slack, max_detours):
+    for path in detour_candidates(net, src, dst, slack, max_detours)[1:]:
         if not _uses_down(path, down):
             return path
     return _masked_path(net, src, dst, down)

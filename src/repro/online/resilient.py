@@ -25,18 +25,30 @@ absorbs each disruption without giving up determinism:
 * every step can be audited by an
   :class:`~repro.sim.sanitizer.InvariantSanitizer` hook.
 
-On the empty plan the runtime visits extra intermediate hop-completion
-steps but makes identical decisions at identical times, so it reproduces
-:func:`~repro.online.runtime.run_online` exactly, field by field -- the
-zero-distortion guarantee the test suite asserts.  All costs are counted
-in an :class:`~repro.online.report.OnlineDegradationReport`.
+The engine is event-driven.  The plan is known up front, so when an
+object departs, the hops it will enter without meeting a fault (no stall
+of the object, no failure of the next link at the step it gets there)
+are laid out at once: a flight costs one event per fault-free segment,
+not one per hop.  Each object keeps the set of pending transactions
+waiting for it, and only transactions and objects whose state changed at
+a step are re-examined for commit and dispatch.  The decisions and their
+times are those of the plain step-by-step loop (kept as the reference
+the tests compare against); only steps at which nothing happens are
+skipped.  On the empty plan every flight is a single segment, so the run
+visits exactly the steps of :func:`~repro.online.runtime.run_online` and
+reproduces it field by field -- the zero-distortion guarantee the test
+suite asserts.  All costs are counted in an
+:class:`~repro.online.report.OnlineDegradationReport`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,19 +140,27 @@ class ResilientResult:
 
 
 class _Flight:
-    """One object's live leg: a lease, a path, and its current hop."""
+    """One object's live leg: a lease, a path, and the segment it is on.
 
-    __slots__ = ("obj", "dest", "target_tid", "path", "hop_end", "retry_at",
-                 "attempt")
+    While flying, ``times[i]`` is the step the object reaches
+    ``path[i]`` (``times[0]`` is the departure), and the flight's event
+    fires at ``times[-1]``, the segment's far end.  While blocked,
+    ``times`` is None and the event fires at ``retry_at``.  ``seq``
+    names the flight's one live event; older heap entries are stale.
+    """
+
+    __slots__ = ("obj", "dest", "target_tid", "path", "times", "retry_at",
+                 "attempt", "seq")
 
     def __init__(self, obj: int, dest: int, target_tid: int) -> None:
         self.obj = obj
         self.dest = dest
         self.target_tid = target_tid
-        self.path: Optional[List[int]] = None  # path[0] == current position
-        self.hop_end: Optional[int] = None  # set while traversing a hop
+        self.path: Optional[List[int]] = None  # path[0] == position[obj]
+        self.times: Optional[List[int]] = None  # set while flying
         self.retry_at: Optional[int] = None  # set while blocked
         self.attempt = 0
+        self.seq = 0
 
 
 def run_resilient(
@@ -160,7 +180,8 @@ def run_resilient(
     :func:`run_online` exactly).  ``policy`` bounds the backoff on blocked
     hops; exhausting it raises :class:`FaultError` (an unabsorbable
     fault, e.g. a permanent partition).  ``admission`` enables load
-    shedding; ``sanitizer`` audits every step.  Raises
+    shedding; ``sanitizer`` audits every hop, commit and dispatch, and
+    every step at which an event fires.  Raises
     :class:`SchedulingError` past ``max_steps`` (defaults to the healthy
     bound plus the plan's fault horizon and retry budget).  ``recorder``
     is an optional :class:`~repro.obs.Recorder` sink narrating retries,
@@ -175,36 +196,45 @@ def run_resilient(
     plan.validate_against(net)
     prio = priority(workload, rng) if rng is not None else priority(workload)
     if max_steps is None:
-        max_steps = (
-            workload.horizon + (inst.m + 1) * (net.diameter() + 1) + 16
-        )
+        diameter = net.diameter()
+        max_steps = workload.horizon + (inst.m + 1) * (diameter + 1) + 16
         if not plan.is_empty:
             max_steps += plan.latest_time + (
-                policy.budget + net.diameter() + 1
+                policy.budget + diameter + 1
             ) * (inst.m + 1)
 
     position: Dict[int, int] = dict(inst.object_homes)
     flights: Dict[int, _Flight] = {}
     pending: Dict[int, object] = {}  # tid -> Transaction
+    admitted: Dict[int, int] = {}  # tid -> admission rank (breaks prio ties)
+    waiters: Dict[int, Dict[int, None]] = {}  # obj -> pending tids, in order
     commits: Dict[int, int] = {}
     lost: List[Tuple[int, str]] = []
     shed: List[Tuple[int, str]] = []
-    deferred: List[TimedTransaction] = []
+    deferred: Deque[TimedTransaction] = deque()
     unrecoverable: set[int] = set()
     dead: set[int] = set()
+    # objects whose place, motion or waiters changed since the last
+    # dispatch: only they, and only their waiters, can act this step
+    dirty: set[int] = set()
+    events: List[Tuple[int, int, int]] = []  # (time, obj, seq) heap
 
     arrivals = list(workload.arrivals)
     release = {a.txn.tid: a.release for a in arrivals}
     crash_seq = list(plan.crash_events)
-    ai = ci = 0
+    ai = ci = seq = 0
     retries = reroutes = rehomed = deferred_admissions = 0
     t = 1
 
-    def best_requester(obj: int):
-        cands = [txn for txn in pending.values() if obj in txn.objects]
-        if not cands:
-            return None
-        return min(cands, key=lambda txn: prio[txn.tid])
+    def _schedule(fl: _Flight, when: int) -> None:
+        nonlocal seq
+        seq += 1
+        fl.seq = seq
+        heapq.heappush(events, (when, fl.obj, seq))
+
+    def _live(entry: Tuple[int, int, int]) -> Optional[_Flight]:
+        fl = flights.get(entry[1])
+        return fl if fl is not None and fl.seq == entry[2] else None
 
     def _backoff(fl: _Flight, now: int) -> None:
         nonlocal retries
@@ -216,8 +246,9 @@ def run_resilient(
                 f"({policy.max_retries} probes)"
             )
         retries += 1
-        fl.hop_end = None
+        fl.times = None
         fl.retry_at = now + policy.wait(fl.attempt)
+        _schedule(fl, fl.retry_at)
         if rec.enabled:
             rec.record(
                 obs_events.RetryEvent(
@@ -226,6 +257,40 @@ def run_resilient(
                 )
             )
             rec.count("resilient.retries")
+
+    def _fly(fl: _Flight, now: int) -> None:
+        """Depart along ``fl.path`` at ``now``; one event per segment.
+
+        The segment runs hop after hop until the object reaches its
+        destination or a hop it would enter next is blocked at the step it
+        gets there (the object is stalled, or the link is down); the event
+        at the segment's end then decides the next move.
+        """
+        path, dest = fl.path, fl.dest
+        stalls = fl.obj in plan.stalled_objects
+        faulty = plan.faulty_links
+        times = [now]
+        u, v, i = path[0], path[1], 1
+        hot = ((u, v) if u < v else (v, u)) in faulty
+        while True:
+            if sanitizer is not None:
+                sanitizer.check_hop(now, u, v, plan)
+            if hot:
+                factor, _ = plan.delay_factor(u, v, now)
+                now += int(math.ceil(net.edge_weight(u, v) * factor))
+            else:
+                now += net.edge_weight(u, v)
+            times.append(now)
+            if v == dest or (stalls and plan.stall(fl.obj, now) is not None):
+                break
+            u, v, i = v, path[i + 1], i + 1
+            hot = ((u, v) if u < v else (v, u)) in faulty
+            if hot and plan.link_down(u, v, now) is not None:
+                break
+        fl.attempt = 0
+        fl.retry_at = None
+        fl.times = times
+        _schedule(fl, now)
 
     def _try_depart(fl: _Flight, now: int) -> None:
         """Enter the next hop at ``now``, or back off if blocked."""
@@ -255,21 +320,33 @@ def run_resilient(
                     )
                     rec.count("resilient.reroutes")
             fl.path = path
-        nxt = fl.path[1]
-        if sanitizer is not None:
-            sanitizer.check_hop(now, pos, nxt, plan)
-        fl.attempt = 0
-        fl.retry_at = None
-        factor, _ = plan.delay_factor(pos, nxt, now)
-        fl.hop_end = now + int(math.ceil(net.edge_weight(pos, nxt) * factor))
+        _fly(fl, now)
+
+    def _arrive(fl: _Flight, now: int) -> None:
+        """The segment ended at ``now``: stop, or carry on from here."""
+        obj = fl.obj
+        k = len(fl.times) - 1
+        position[obj] = fl.path[k]
+        fl.path = fl.path[k:]
+        fl.times = None
+        if position[obj] == fl.dest or fl.target_tid not in pending:
+            del flights[obj]
+            dirty.add(obj)
+            return
+        _try_depart(fl, now)
+        if fl.retry_at is not None and fl.retry_at <= now:
+            _try_depart(fl, now)  # a zero-wait backoff probes again at once
 
     def _rehome(obj: int) -> None:
         """Restore ``obj`` from its durable home after a lease died."""
         nonlocal rehomed
+        fl = flights.pop(obj, None)
         prev = position[obj]
-        flights.pop(obj, None)
+        if fl is not None and fl.times is not None:
+            prev = fl.path[bisect_left(fl.times, t, 1) - 1]  # hop's near end
         home = inst.home(obj)
         position[obj] = home
+        dirty.add(obj)
         if home in dead:
             unrecoverable.add(obj)
             recovered = False
@@ -282,12 +359,19 @@ def run_resilient(
             )
             rec.count("resilient.lease_recoveries")
 
+    def _retire(tid: int) -> None:
+        """Take ``tid`` off the pending set and its objects' waiter sets."""
+        txn = pending.pop(tid)
+        for o in txn.objects:
+            del waiters[o][tid]
+        dirty.update(txn.objects)
+
     def _drop_pending(tid: int, reason: str) -> None:
         lost.append((tid, reason))
         if rec.enabled:
             rec.record(obs_events.LostEvent(t, tid, reason))
             rec.count("resilient.lost")
-        del pending[tid]
+        _retire(tid)
 
     def _crash(node: int) -> None:
         """Fire ``node``'s crash: kill its compute plane, re-home leases."""
@@ -311,12 +395,19 @@ def run_resilient(
                     _drop_pending(
                         tid, f"objects {sorted(gone)} unrecoverable"
                     )
-        # flights whose waiter just vanished and are not mid-hop stop now;
-        # mid-hop flights drain their hop and stop at its far end
+        # flights whose waiter just vanished stop: a blocked one where it
+        # stands, a flying one at the far end of the hop it is on
         for obj in sorted(flights):
             fl = flights[obj]
-            if fl.target_tid not in pending and fl.hop_end is None:
+            if fl.target_tid in pending:
+                continue
+            if fl.times is None:
                 del flights[obj]
+                dirty.add(obj)
+            else:
+                j = bisect_left(fl.times, t, 1)
+                del fl.times[j + 1:]
+                _schedule(fl, fl.times[j])
 
     def _admit(timed: TimedTransaction) -> None:
         txn = timed.txn
@@ -341,6 +432,10 @@ def run_resilient(
             )
             rec.count("resilient.admitted")
         pending[txn.tid] = txn
+        admitted[txn.tid] = len(admitted)
+        for o in txn.objects:
+            waiters.setdefault(o, {})[txn.tid] = None
+        dirty.update(txn.objects)
 
     def _room() -> bool:
         return admission is None or len(pending) < admission.high_water
@@ -355,25 +450,20 @@ def run_resilient(
         while ci < len(crash_seq) and crash_seq[ci].time <= t:
             _crash(crash_seq[ci].node)
             ci += 1
-        # deliveries and probes: advance every flight to time t
-        for obj in sorted(flights):
-            fl = flights.get(obj)
-            if fl is None:  # cancelled by an earlier flight's crash sweep
-                continue  # pragma: no cover - crashes cancel before here
-            while fl.hop_end is not None and fl.hop_end <= t:
-                position[obj] = fl.path[1]
-                fl.path = fl.path[1:]
-                fl.hop_end = None
-                if position[obj] == fl.dest or fl.target_tid not in pending:
-                    del flights[obj]
-                    fl = None
-                    break
-                _try_depart(fl, t)
-            if fl is not None and fl.retry_at is not None and fl.retry_at <= t:
+        # segment ends and retry probes due by t, in object order
+        due: List[_Flight] = []
+        while events and events[0][0] <= t:
+            fl = _live(heapq.heappop(events))
+            if fl is not None:
+                due.append(fl)
+        for fl in sorted(due, key=lambda fl: fl.obj):
+            if fl.times is not None:
+                _arrive(fl, t)
+            else:
                 _try_depart(fl, t)
         # admission: deferred releases first (FIFO), then new arrivals
         while deferred and _room():
-            _admit(deferred.pop(0))
+            _admit(deferred.popleft())
         while ai < len(arrivals) and arrivals[ai].release <= t:
             timed = arrivals[ai]
             ai += 1
@@ -408,16 +498,20 @@ def run_resilient(
                         )
                     )
                     rec.count("resilient.deferred")
-        # commits: any pending transaction with all objects on-node
-        committed_now = [
-            txn
-            for txn in pending.values()
-            if all(
-                o not in flights and position[o] == txn.node
-                for o in txn.objects
-            )
-        ]
-        for txn in sorted(committed_now, key=lambda txn: prio[txn.tid]):
+        # commits: waiters of dirty objects with all objects on-node
+        waiting = {tid for o in dirty for tid in waiters.get(o, ())}
+        committed_now = sorted(
+            (
+                txn
+                for txn in map(pending.__getitem__, waiting)
+                if all(
+                    o not in flights and position[o] == txn.node
+                    for o in txn.objects
+                )
+            ),
+            key=lambda txn: (prio[txn.tid], admitted[txn.tid]),
+        )
+        for txn in committed_now:
             if sanitizer is not None:
                 sanitizer.check_commit(
                     t, txn, position, flights.keys(), release
@@ -430,15 +524,15 @@ def run_resilient(
                 )
                 rec.count("resilient.commits")
             commits[txn.tid] = t
-            del pending[txn.tid]
+            _retire(txn.tid)
         if sanitizer is not None:
             sanitizer.check_step(t, position, flights.keys(), pending, net.n)
-        # dispatch: idle objects chase their best requester
-        for obj in sorted(position):
-            if obj in flights or obj in unrecoverable:
+        # dispatch: dirty idle objects chase their best waiter
+        for obj in sorted(dirty):
+            if obj in flights or obj in unrecoverable or not waiters.get(obj):
                 continue
-            target = best_requester(obj)
-            if target is None or position[obj] == target.node:
+            target = pending[min(waiters[obj], key=prio.__getitem__)]
+            if position[obj] == target.node:
                 continue
             if sanitizer is not None:
                 sanitizer.check_dispatch(t, obj, target, pending, prio)
@@ -452,14 +546,17 @@ def run_resilient(
             fl = _Flight(obj, target.node, target.tid)
             flights[obj] = fl
             _try_depart(fl, t)
+        dirty.clear()
         # advance to the next interesting time
+        while events and _live(events[0]) is None:
+            heapq.heappop(events)
         nxt = []
         if ai < len(arrivals):
             nxt.append(arrivals[ai].release)
         if ci < len(crash_seq):
             nxt.append(crash_seq[ci].time)
-        for fl in flights.values():
-            nxt.append(fl.hop_end if fl.hop_end is not None else fl.retry_at)
+        if events:
+            nxt.append(events[0][0])
         if deferred:
             nxt.append(t + 1)
         t = max(t + 1, min(nxt)) if nxt else t + 1

@@ -184,6 +184,16 @@ class SchedulingService:
         self._crash_seq: Tuple[NodeCrash, ...] = (
             plan.crash_events if plan is not None else ()
         )
+        # windowed plan events as (start, plan index, event), consumed in
+        # start order as batches execute; live ones have started but not
+        # yet ended
+        self._plan_queue: List[Tuple[int, int, object]] = sorted(
+            (e.start, i, e)
+            for i, e in enumerate(plan.events if plan is not None else ())
+            if not isinstance(e, NodeCrash)
+        )
+        self._plan_cursor = 0
+        self._plan_live: List[Tuple[int, object]] = []
         # accounting
         self._windows_run = 0
         self._released = 0
@@ -328,9 +338,11 @@ class SchedulingService:
             if ev.node not in self._dead:
                 self._dead.add(ev.node)
                 fired.append(ev)
-        for obj, home in sorted(self.stream.object_homes.items()):
-            if home in self._dead:
-                self._unrecoverable.add(obj)
+        if fired:
+            newly_dead = {ev.node for ev in fired}
+            for obj, home in self.stream.object_homes.items():
+                if home in newly_dead:
+                    self._unrecoverable.add(obj)
         return fired
 
     def _window_plan(
@@ -343,17 +355,30 @@ class SchedulingService:
         the window's runtime sees them live; an event overrunning the
         window simply reappears in the next slice.  ``crashes`` are the
         global crash events this window consumes (fired once each).
+
+        Successive batches start no earlier than the previous one ended,
+        so ``exec_start`` never decreases from call to call: an event
+        that ended before one window is done with for good, and the slice
+        costs the live events, not the whole plan.
         """
         if self.plan is None:
             return FaultPlan()
         span_end = exec_start + self.config.window
+        queue = self._plan_queue
+        while (
+            self._plan_cursor < len(queue)
+            and queue[self._plan_cursor][0] < span_end
+        ):
+            _, index, event = queue[self._plan_cursor]
+            self._plan_live.append((index, event))
+            self._plan_cursor += 1
+        self._plan_live = [
+            (i, e) for i, e in self._plan_live
+            if e.end is None or e.end > exec_start
+        ]
         events: List[object] = []
-        for e in self.plan.events:
-            if isinstance(e, NodeCrash):
-                continue  # handled via the global crash cursor
+        for _, e in sorted(self._plan_live):  # plan order
             end = e.end
-            if e.start >= span_end or (end is not None and end <= exec_start):
-                continue
             rel_start = max(1, e.start - exec_start)
             rel_end = None if end is None else end - exec_start
             if rel_end is not None and rel_end <= rel_start:

@@ -77,7 +77,11 @@ class InvariantSanitizer:
         pending: Mapping[int, object],
         n: Optional[int] = None,
     ) -> None:
-        """Single-copy and state-consistency invariants, once per step."""
+        """Single-copy and state-consistency invariants, once per step.
+
+        The runtimes call this at every step they visit; they skip the
+        steps at which nothing happens.
+        """
         if not self.enabled:
             return
         self.checks += 1

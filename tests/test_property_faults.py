@@ -107,6 +107,15 @@ def test_path_avoiding_is_valid_and_complete(net_down):
             for a, b in zip(path, path[1:]):
                 assert net.has_edge(a, b)
                 assert ((min(a, b), max(a, b))) not in down
+            # cheapest first: the first detour candidate clear of ``down``
+            slack = 2 * int(net.distance_matrix.max())
+            clear = [
+                p for p in detour_candidates(net, src, dst, slack, 16)
+                if not any((min(a, b), max(a, b)) in down
+                           for a, b in zip(p, p[1:]))
+            ]
+            if src != dst and clear:
+                assert path == clear[0]
         else:
             assert path is None
 

@@ -1,0 +1,196 @@
+"""Event-driven ``run_resilient`` vs the step-driven oracle, field by field.
+
+The production engine lays a flight out one fault-free segment at a time,
+keeps per-object waiter sets, and re-examines only what changed; the
+oracle (``resilient_oracle.run_resilient_stepwise``) advances every
+flight one hop per visited step and rescans everything.  They must agree
+on every observable: commits, releases, the schedule, the degradation
+report (all fields but the sanitizer's check count), the recorded event
+stream and metrics, sanitizer violations, and the type and message of any
+error -- on every topology, under crashes, permanent failures, admission
+control, random and tied priorities, and tight retry policies.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resilient_oracle import run_resilient_stepwise
+
+from repro.core import Transaction
+from repro.errors import FaultError, OverloadError, SchedulingError
+from repro.faults import (
+    FaultPlan,
+    NodeCrash,
+    RetryPolicy,
+    random_fault_plan,
+)
+from repro.network import clique, cluster, grid, hypercube, line, star
+from repro.obs import MemoryRecorder
+from repro.obs.events import DispatchEvent, LeaseRecoveryEvent
+from repro.online import (
+    AdmissionControl,
+    OnlineWorkload,
+    TimedTransaction,
+    poisson_workload,
+    random_priority,
+    run_online,
+    run_resilient,
+    timestamp_priority,
+)
+from repro.sim import InvariantSanitizer
+from repro.workloads import root_rng
+
+TOPOLOGIES = {
+    "clique": lambda: clique(8),
+    "line": lambda: line(10),
+    "grid": lambda: grid(4),
+    "cluster": lambda: cluster(3, 4, 5),
+    "hypercube": lambda: hypercube(3),
+    "star": lambda: star(3, 3),
+}
+ADMISSION = {
+    "none": None,
+    "defer": AdmissionControl(3, "defer"),
+    "shed": AdmissionControl(3, "shed"),
+    "strict": AdmissionControl(5, "strict"),
+}
+POLICIES = {
+    "default": RetryPolicy(),
+    "tight": RetryPolicy(max_retries=3, max_wait=4),
+    "zero-wait": RetryPolicy(max_retries=6, max_wait=0),
+}
+
+
+def flat_priority(workload, rng=None):
+    """Every transaction ties: admission order alone breaks the ties."""
+    return {a.txn.tid: (0,) for a in workload.arrivals}
+
+
+def _outcome(runner, wl, plan, prio, seed, admission, policy):
+    """Everything one run exposes, or the error it raised."""
+    rec = MemoryRecorder()
+    san = InvariantSanitizer(raise_on_violation=False)
+    rng = np.random.default_rng(seed) if prio is random_priority else None
+    try:
+        res = runner(
+            wl, plan, priority=prio, rng=rng, policy=policy,
+            admission=admission, sanitizer=san, recorder=rec,
+        )
+    except (FaultError, OverloadError, SchedulingError) as exc:
+        out = (type(exc).__name__, str(exc))
+    else:
+        out = (
+            res.commits,
+            res.release,
+            None if res.schedule is None else res.schedule.commit_times,
+            dataclasses.replace(res.report, sanitizer_checks=0),
+        )
+    return out, rec.events, rec.registry.snapshot(), san.violations
+
+
+def _assert_parity(wl, plan, prio=timestamp_priority, seed=0,
+                   admission=None, policy=RetryPolicy()):
+    fast = _outcome(run_resilient, wl, plan, prio, seed, admission, policy)
+    slow = _outcome(
+        run_resilient_stepwise, wl, plan, prio, seed, admission, policy
+    )
+    assert fast == slow
+    return fast
+
+
+def _workload(topo, seed, count, rate):
+    net = TOPOLOGIES[topo]()
+    return poisson_workload(
+        net, w=max(3, count // 2), k=2, rate=rate,
+        count=min(count, net.n), rng=root_rng(seed),
+    )
+
+
+def _plan(wl, seed, intensity, crash_rate, permanent):
+    return random_fault_plan(
+        wl.instance.network, horizon=run_online(wl).makespan,
+        rng=root_rng(seed), intensity=intensity, crash_rate=crash_rate,
+        permanent_fraction=permanent, objects=wl.instance.objects,
+    )
+
+
+@given(
+    topo=st.sampled_from(sorted(TOPOLOGIES)),
+    seed=st.integers(min_value=0, max_value=2**20),
+    count=st.integers(min_value=2, max_value=12),
+    rate=st.sampled_from([0.5, 1.0, 3.0]),
+    intensity=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+    crash_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    permanent=st.sampled_from([0.0, 0.3]),
+    admission=st.sampled_from(sorted(ADMISSION)),
+    prio=st.sampled_from(
+        [timestamp_priority, random_priority, flat_priority]
+    ),
+    policy=st.sampled_from(sorted(POLICIES)),
+)
+@settings(max_examples=100, deadline=None)
+def test_event_driven_matches_stepwise(topo, seed, count, rate, intensity,
+                                       crash_rate, permanent, admission,
+                                       prio, policy):
+    wl = _workload(topo, seed, count, rate)
+    plan = _plan(wl, seed + 1, intensity, crash_rate, permanent)
+    _assert_parity(wl, plan, prio, seed, ADMISSION[admission],
+                   POLICIES[policy])
+
+
+@pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_every_topology_under_crashes(topo, seed):
+    wl = _workload(topo, seed, count=12, rate=1.0)
+    plan = _plan(wl, 100 + seed, intensity=2.0, crash_rate=0.3, permanent=0.0)
+    _assert_parity(wl, plan)
+
+
+def test_crash_truncates_segments_mid_flight():
+    # txn 0 (node 2) holds obj 1 parked at its home 2 and waits for obj 2
+    # flying 5 -> 2; txn 1 (node 7) waits for obj 0 flying 0 -> 7.  Node 2
+    # dies at t=3: obj 2's lease dies mid-segment on hop 4 -> 3, obj 1
+    # becomes unrecoverable, so txn 1 is lost and obj 0 stops at the far
+    # end of the hop it is on (node 2) instead of flying on to node 7.
+    wl = OnlineWorkload(
+        line(8),
+        [
+            TimedTransaction(0, Transaction(0, 2, {1, 2})),
+            TimedTransaction(0, Transaction(1, 7, {0, 1})),
+        ],
+        {0: 0, 1: 2, 2: 5},
+    )
+    (out, events, _, _) = _assert_parity(wl, FaultPlan([NodeCrash(2, 3)]))
+    commits, _, schedule, report = out
+    assert commits == {} and schedule is None
+    assert dict(report.lost) == {
+        0: "node 2 crashed", 1: "objects [1] unrecoverable",
+    }
+    recoveries = [e for e in events if isinstance(e, LeaseRecoveryEvent)]
+    assert [(e.obj, e.node, e.recovered) for e in recoveries] == [
+        (1, 2, False), (2, 4, True),
+    ]
+
+
+@pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+def test_empty_plan_visits_only_run_online_steps(topo):
+    # one event per flight: the sanitizer audits exactly the steps
+    # run_online visits, plus one hop check per hop flown
+    wl = _workload(topo, seed=7, count=12, rate=1.0)
+    online_san = InvariantSanitizer()
+    run_online(wl, sanitizer=online_san)
+    rec, san = MemoryRecorder(), InvariantSanitizer()
+    run_resilient(wl, sanitizer=san, recorder=rec)
+    net = wl.instance.network
+    hops = sum(
+        len(net.shortest_path(e.src, e.dst)) - 1
+        for e in rec.events if isinstance(e, DispatchEvent)
+    )
+    assert hops > 0
+    assert san.checks == online_san.checks + hops

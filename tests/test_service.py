@@ -9,6 +9,8 @@ same-seed determinism, run_online commit parity on the empty plan,
 recorder bit-parity, and JSON round-trips through the report registry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,14 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults.backoff import RetryPolicy
-from repro.faults.plan import FaultPlan, LinkFailure, NodeCrash
+from repro.faults.plan import (
+    DelaySpike,
+    FaultPlan,
+    LinkFailure,
+    NodeCrash,
+    ObjectStall,
+    random_fault_plan,
+)
 from repro.network import clique, grid, line
 from repro.obs import MemoryRecorder
 from repro.online import run_online
@@ -277,6 +286,18 @@ class TestFaults:
         assert rep.accounted
         assert rep.committed + rep.lost == rep.released
 
+    def test_objects_homed_on_a_crashed_node_are_unrecoverable(self):
+        net = grid(4)
+        stream = _stream(net, 0.6, limit=60)
+        dead = stream.object_homes[0]
+        svc = SchedulingService(stream, plan=FaultPlan([NodeCrash(dead, 20)]))
+        svc.run()
+        state = svc.snapshot_state()
+        assert state["unrecoverable"] == sorted(
+            o for o, home in stream.object_homes.items() if home == dead
+        )
+        assert any("unrecoverable" in reason for _, reason in state["lost"])
+
     def test_window_retry_backs_off_then_drops(self):
         # a permanent partition on a line: object 0 lives across the cut,
         # every window fails, retries back off, budget finally exhausts
@@ -299,6 +320,55 @@ class TestFaults:
         rep = run_service(_stream(grid(4), 0.5, limit=30), config=cfg)
         assert rep.committed == rep.released == 30
         assert rep.accounted
+
+    def test_window_plan_slices_match_a_full_scan(self, monkeypatch):
+        # the cursor over start-sorted events must hand every window the
+        # slice a scan of the whole plan would: long, permanent and
+        # window-straddling events included, crashes appended last
+        net = grid(4)
+        u, v, _ = next(net.edges())
+        drawn = random_fault_plan(
+            net, 400, np.random.default_rng(3), intensity=0.4,
+            crash_rate=0.05, permanent_fraction=0.2, objects=range(12),
+        )
+        # idle windows start at multiples of 16: events on those edges
+        plan = FaultPlan(drawn.events + (
+            LinkFailure(u, v, 32, 48), ObjectStall(0, 48, 50),
+            DelaySpike(u, v, 64, 80, 2.0), LinkFailure(u, v, 96, None),
+        ))
+        svc = SchedulingService(_stream(net, 0.5, limit=200), plan=plan)
+        window = svc.config.window
+        sliced = []
+        real = svc._window_plan
+
+        def spy(exec_start, crashes):
+            got = real(exec_start, crashes)
+            sliced.append((exec_start, crashes, got.events))
+            return got
+
+        monkeypatch.setattr(svc, "_window_plan", spy)
+        svc.run()
+        assert len(sliced) > 10
+        for exec_start, crashes, got in sliced:
+            want = []
+            for e in plan.events:
+                if isinstance(e, NodeCrash):
+                    continue
+                if e.start >= exec_start + window or (
+                    e.end is not None and e.end <= exec_start
+                ):
+                    continue
+                rel_start = max(1, e.start - exec_start)
+                rel_end = None if e.end is None else e.end - exec_start
+                if rel_end is not None and rel_end <= rel_start:
+                    continue
+                want.append(dataclasses.replace(
+                    e, start=rel_start, end=rel_end))
+            want += [
+                NodeCrash(c.node, max(1, c.time - exec_start))
+                for c in crashes
+            ]
+            assert got == tuple(want)
 
 
 class TestRunOnlineParity:
