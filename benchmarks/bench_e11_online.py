@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.experiments import run_experiment
 from repro.network import clique
-from repro.online import poisson_workload, run_epoch_batched, run_online
+from repro.online import poisson_workload, run_epoch_batched
 
 from conftest import SEED
 
@@ -12,12 +12,6 @@ from conftest import SEED
 def _workload():
     rng = np.random.default_rng(SEED)
     return poisson_workload(clique(64), w=16, k=2, rate=1.0, count=48, rng=rng)
-
-
-def test_kernel_online_timestamp_manager(benchmark):
-    wl = _workload()
-    result = benchmark(lambda: run_online(wl))
-    assert len(result.schedule.commit_times) == wl.m
 
 
 def test_kernel_epoch_batching(benchmark):

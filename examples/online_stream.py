@@ -19,7 +19,7 @@ from repro.online import (
     poisson_workload,
     random_priority,
     run_epoch_batched,
-    run_online,
+    run_resilient,
 )
 from repro.workloads import root_rng
 
@@ -36,8 +36,10 @@ def main() -> None:
             net, w=10, k=2, rate=rate, count=28, rng=root_rng(int(rate * 10))
         )
         policies = {
-            "timestamp": run_online(wl),
-            "random-prio": run_online(wl, random_priority, rng=root_rng(1)),
+            "timestamp": run_resilient(wl),
+            "random-prio": run_resilient(
+                wl, priority=random_priority, rng=root_rng(1)
+            ),
             "epoch-batch": run_epoch_batched(wl, rng=root_rng(2)),
         }
         for name, res in policies.items():

@@ -17,7 +17,6 @@ bit-identical -- and the cluster-wide conservation identity
 holds exactly under every supported failure mode.
 """
 
-from ..service.config import LoadControl
 from .chaos import ChaosPlan, WorkerDelay, WorkerKill, WorkerStall
 from .config import ClusterConfig
 from .journal import WindowJournal, accounting_digest
@@ -30,7 +29,6 @@ __all__ = [
     "ChaosPlan",
     "ClusterConfig",
     "ClusterReport",
-    "LoadControl",
     "ShardedStream",
     "StreamSpec",
     "WindowJournal",

@@ -10,12 +10,11 @@ first fork, not after three workers have already journaled state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ClusterError
 from ..faults.backoff import RetryPolicy
-from ..service.config import LoadControl
 
 __all__ = ["ClusterConfig"]
 
@@ -47,9 +46,7 @@ class ClusterConfig:
         Bounded deterministic restart budget per worker -- the same
         :class:`~repro.faults.backoff.RetryPolicy` every fault path in
         the repo shares (and the same field name
-        :class:`~repro.service.ServiceConfig` uses; supply both at once
-        through a shared :class:`~repro.service.LoadControl` via
-        ``control=``).  Restart ``i`` waits
+        :class:`~repro.service.ServiceConfig` uses).  Restart ``i`` waits
         ``retry.wait(i) * restart_backoff_s`` seconds; a worker
         crashing more than ``retry.max_retries`` times is retired
         (queued work counted ``lost``) or, under ``on_crash="strict"``,
@@ -76,10 +73,6 @@ class ClusterConfig:
     journal_dir:
         Directory for journals/checkpoints; ``None`` uses a fresh
         temporary directory removed after the run.
-    control:
-        Optional shared :class:`~repro.service.LoadControl` supplying
-        the ``retry`` budget when not explicitly set (the same object a
-        :class:`~repro.service.ServiceConfig` consumes).
     """
 
     workers: int = 2
@@ -92,16 +85,11 @@ class ClusterConfig:
     on_straggler: str = "restart"
     verify_replay: bool = True
     journal_dir: Optional[str] = None
-    retry: Optional[RetryPolicy] = None
-    control: Optional[LoadControl] = None
+    retry: RetryPolicy = field(
+        default_factory=lambda: RetryPolicy(max_retries=3, max_wait=4)
+    )
 
     def __post_init__(self) -> None:
-        if self.retry is None:
-            retry = (
-                self.control.retry if self.control is not None
-                else RetryPolicy(max_retries=3, max_wait=4)
-            )
-            object.__setattr__(self, "retry", retry)
         if self.workers < 1:
             raise ClusterError(f"workers must be >= 1, got {self.workers}")
         if self.windows < 1:

@@ -374,12 +374,9 @@ class _Supervisor:
         sojourns.sort()
         if totals["cross"]:
             self.rec.count("cluster.cross_shard", totals["cross"])
-        engine = (
-            self.service.engine if self.service.engine != "auto" else "batch"
-        )
         return ClusterReport(
             topology=self.topology,
-            engine=engine,
+            engine="batch",
             stream=self.stream.kind,
             workers=self.config.workers,
             windows=self.config.windows,

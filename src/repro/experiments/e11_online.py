@@ -17,7 +17,7 @@ from ..online import (
     poisson_workload,
     random_priority,
     run_epoch_batched,
-    run_online,
+    run_resilient,
 )
 from ..workloads.seeds import spawn
 from ..obs.recorder import Recorder
@@ -55,10 +55,10 @@ def run(
                 rng = spawn(seed, EXP_ID, net.topology.name, rate, trial)
                 wl = poisson_workload(net, w=w, k=2, rate=rate, count=count, rng=rng)
                 runs = {
-                    "timestamp": run_online(wl, recorder=recorder),
-                    "random-prio": run_online(
+                    "timestamp": run_resilient(wl, recorder=recorder),
+                    "random-prio": run_resilient(
                         wl,
-                        random_priority,
+                        priority=random_priority,
                         rng=spawn(seed, EXP_ID, "rp", trial),
                         recorder=recorder,
                     ),

@@ -23,7 +23,6 @@ from ..online import (
     AdmissionControl,
     poisson_workload,
     run_epoch_batched,
-    run_online,
     run_resilient,
 )
 from ..sim.sanitizer import InvariantSanitizer
@@ -70,7 +69,7 @@ def run(
                 rng = spawn(seed, EXP_ID, net.topology.name, intensity, trial)
                 wl = poisson_workload(net, w=w, k=2, rate=1.0, count=count,
                                       rng=rng)
-                healthy = run_online(wl, recorder=recorder)
+                healthy = run_resilient(wl, recorder=recorder)
                 # repairable plans only (no crashes, no permanent failures):
                 # every released transaction must commit
                 plan = random_fault_plan(
@@ -142,9 +141,10 @@ def run(
     table.add_note(
         "Live fault consumption (repro.online.run_resilient) vs the E17 "
         "replay pipeline (epoch schedule + faulty_execute), repairable "
-        "plans only.  At intensity 0 'resilient' reproduces run_online "
-        "exactly.  On these plans nothing is ever *lost*: 'resilient' "
-        "commits 100%, and 'resilient-admit' satisfies commit_rate + "
+        "plans only.  At intensity 0 the plan is empty and 'resilient' is "
+        "the plain Greedy CM (no retries, no reroutes).  On these plans "
+        "nothing is ever *lost*: 'resilient' commits 100%, and "
+        "'resilient-admit' satisfies commit_rate + "
         "shed_frac = 1 (a shed is a typed refusal at release, at "
         "high-water max(3, m/4), never a dropped admitted transaction).  "
         "violations is the invariant sanitizer's count -- zero on a "

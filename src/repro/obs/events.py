@@ -1,12 +1,12 @@
 """Typed trace events: the vocabulary of the observability layer.
 
 Every instrumented runtime (:func:`repro.sim.execute`,
-:func:`repro.online.run_online`, :func:`repro.online.run_resilient`,
-:func:`repro.faults.faulty_execute`) narrates what it does as a stream of
-these records.  Each event is a small frozen dataclass with an integer
-simulation ``time`` plus kind-specific fields; the ``kind`` string is the
-stable wire name used by the JSON/CSV exporters (:mod:`repro.obs.export`),
-so renaming a class never breaks saved traces.
+:func:`repro.online.run_resilient`, :func:`repro.faults.faulty_execute`)
+narrates what it does as a stream of these records.  Each event is a
+small frozen dataclass with an integer simulation ``time`` plus
+kind-specific fields; the ``kind`` string is the stable wire name used
+by the JSON/CSV exporters (:mod:`repro.obs.export`), so renaming a class
+never breaks saved traces.
 
 The set is deliberately closed: :data:`EVENT_TYPES` maps every wire kind
 to its class, and :func:`event_from_dict` refuses unknown kinds with a

@@ -1,21 +1,21 @@
 """Online scheduling extension (§9, open question 1).
 
-The batch model extended with release times: a priority-driven contention
-manager (:func:`run_online`), epoch batching of the paper's offline
-schedulers (:func:`run_epoch_batched`), and a fault-aware resilient
-runtime (:func:`run_resilient`) that consumes a live
-:class:`~repro.faults.plan.FaultPlan` with lease-based crash recovery and
-admission control (docs/FAULTS.md).
+The batch model extended with release times: one priority-driven
+contention manager, :func:`run_resilient`, which consumes a live
+:class:`~repro.faults.plan.FaultPlan` (empty by default) with lease-based
+crash recovery and admission control (docs/FAULTS.md), and epoch batching
+of the paper's offline schedulers (:func:`run_epoch_batched`).  Both
+return an :class:`OnlineResult`.
 """
 
 from .arrivals import OnlineWorkload, TimedTransaction, poisson_workload
 from .epoch import run_epoch_batched
 from .report import OnlineDegradationReport
-from .resilient import AdmissionControl, ResilientResult, run_resilient
-from .runtime import (
+from .resilient import (
+    AdmissionControl,
     OnlineResult,
     random_priority,
-    run_online,
+    run_resilient,
     timestamp_priority,
 )
 
@@ -24,12 +24,10 @@ __all__ = [
     "OnlineWorkload",
     "poisson_workload",
     "OnlineResult",
-    "run_online",
     "run_epoch_batched",
     "timestamp_priority",
     "random_priority",
     "AdmissionControl",
-    "ResilientResult",
     "run_resilient",
     "OnlineDegradationReport",
 ]

@@ -19,7 +19,8 @@ from ..core.dispatch import resolve_scheduler
 from ..core.phasing import PhaseState, run_phase
 from ..core.scheduler import Scheduler
 from .arrivals import OnlineWorkload
-from .runtime import OnlineResult
+from .report import OnlineDegradationReport
+from .resilient import OnlineResult
 
 __all__ = ["run_epoch_batched"]
 
@@ -37,7 +38,9 @@ def run_epoch_batched(
     trip" of slack per batch).  Each batch contains the transactions
     released up to the moment the previous batch finished (or the end of
     the current epoch window, whichever is later), so the schedule never
-    commits anything before its release.
+    commits anything before its release.  Every transaction commits, so
+    the result's degradation report is all zeros apart from
+    ``released == committed == m``.
     """
     inst = workload.instance
     if scheduler is None:
@@ -63,4 +66,12 @@ def run_epoch_batched(
     release: Dict[int, int] = {
         a.txn.tid: a.release for a in workload.arrivals
     }
-    return OnlineResult(schedule=schedule, release=release)
+    report = OnlineDegradationReport(
+        released=workload.m, committed=workload.m, lost=(), shed=(),
+        deferred_admissions=0, retries=0, reroutes=0, rehomed=0,
+        fault_count=0, sanitizer_checks=0, violations=0,
+    )
+    return OnlineResult(
+        schedule=schedule, commits=dict(schedule.commit_times),
+        release=release, report=report,
+    )

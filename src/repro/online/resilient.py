@@ -1,8 +1,17 @@
-"""Fault-aware online runtime: live faults, leases, and admission control.
+"""The online runtime: Greedy contention management under live faults.
 
-:func:`run_resilient` is the priority contention manager of
-:mod:`repro.online.runtime` hardened for a system that misbehaves *while
-decisions are still being made*.  It consumes a
+:func:`run_resilient` implements the classic *Greedy contention manager*
+discipline (Guerraoui, Herlihy & Pochon [13], adapted to the data-flow
+model): every transaction carries a fixed priority; each idle object
+always travels toward the highest-priority pending transaction that
+requests it; a transaction commits the moment all its objects sit at its
+node (and it has been released).  Because priorities form a total order
+and arrivals never preempt an older transaction (timestamp priority =
+release order), the globally highest-priority pending transaction always
+has every object converging on it, so the runtime is livelock-free.
+
+The runtime is hardened for a system that misbehaves *while decisions
+are still being made*.  It consumes a
 :class:`~repro.faults.plan.FaultPlan` live -- not replayed against a
 precomputed schedule as :func:`repro.faults.faulty_execute` does -- and
 absorbs each disruption without giving up determinism:
@@ -34,10 +43,9 @@ waiting for it, and only transactions and objects whose state changed at
 a step are re-examined for commit and dispatch.  The decisions and their
 times are those of the plain step-by-step loop (kept as the reference
 the tests compare against); only steps at which nothing happens are
-skipped.  On the empty plan every flight is a single segment, so the run
-visits exactly the steps of :func:`~repro.online.runtime.run_online` and
-reproduces it field by field -- the zero-distortion guarantee the test
-suite asserts.  All costs are counted in an
+skipped.  On the empty plan (the default) every flight is a single
+segment, and the commit times form a feasible schedule in the batch
+sense that also respects release times.  All costs are counted in an
 :class:`~repro.online.report.OnlineDegradationReport`.
 """
 
@@ -62,9 +70,14 @@ from ..obs.recorder import Recorder, active
 from ..sim.sanitizer import InvariantSanitizer
 from .arrivals import OnlineWorkload, TimedTransaction
 from .report import OnlineDegradationReport
-from .runtime import timestamp_priority
 
-__all__ = ["AdmissionControl", "ResilientResult", "run_resilient"]
+__all__ = [
+    "AdmissionControl",
+    "OnlineResult",
+    "random_priority",
+    "run_resilient",
+    "timestamp_priority",
+]
 
 _ADMISSION_POLICIES = ("defer", "shed", "strict")
 
@@ -98,16 +111,18 @@ class AdmissionControl:
 
 
 @dataclass
-class ResilientResult:
-    """Outcome of a resilient online run.
+class OnlineResult:
+    """Outcome of an online run.
 
-    ``commits`` maps every *committed* transaction to its commit step;
-    ``schedule`` is the equivalent batch :class:`Schedule` when every
-    released transaction committed (``None`` when crashes or shedding
-    lost some -- a partial commit map is not a schedule).  The schedule
-    is batch-feasible whenever the plan contains no node crashes (crash
-    recovery restores objects at their durable home, a move the batch
-    validator cannot see).  ``report`` carries the degradation accounting.
+    :func:`run_resilient` and :func:`~repro.online.run_epoch_batched`
+    both return one.  ``commits`` maps every *committed* transaction to
+    its commit step; ``schedule`` is the equivalent batch
+    :class:`Schedule` when every released transaction committed
+    (``None`` when crashes or shedding lost some -- a partial commit map
+    is not a schedule).  The schedule is batch-feasible whenever the
+    plan contains no node crashes (crash recovery restores objects at
+    their durable home, a move the batch validator cannot see).
+    ``report`` carries the degradation accounting.
     """
 
     schedule: Optional[Schedule]
@@ -137,6 +152,22 @@ class ResilientResult:
     def max_response(self) -> int:
         """Worst response time over committed transactions."""
         return max(self.response_times.values(), default=0)
+
+
+def timestamp_priority(workload: OnlineWorkload, rng=None) -> Dict[int, tuple]:
+    """Older transactions win (the Greedy CM's timestamp discipline)."""
+    return {
+        a.txn.tid: (a.release, a.txn.tid) for a in workload.arrivals
+    }
+
+
+def random_priority(
+    workload: OnlineWorkload, rng: np.random.Generator
+) -> Dict[int, tuple]:
+    """A uniformly random fixed total order (randomized CM)."""
+    tids = [a.txn.tid for a in workload.arrivals]
+    perm = rng.permutation(len(tids))
+    return {tid: (int(p),) for tid, p in zip(tids, perm)}
 
 
 class _Flight:
@@ -173,13 +204,16 @@ def run_resilient(
     sanitizer: InvariantSanitizer | None = None,
     max_steps: int | None = None,
     recorder: Recorder | None = None,
-) -> ResilientResult:
+) -> OnlineResult:
     """Run the priority contention manager against a live fault plan.
 
-    ``plan`` defaults to the empty plan (in which case the run reproduces
-    :func:`run_online` exactly).  ``policy`` bounds the backoff on blocked
-    hops; exhausting it raises :class:`FaultError` (an unabsorbable
-    fault, e.g. a permanent partition).  ``admission`` enables load
+    ``plan`` defaults to the empty plan: the plain Greedy contention
+    manager, with no retries or reroutes.  ``priority`` maps the workload
+    (and ``rng``, when given) to a total order; lower tuples win.  Pass
+    it by keyword -- the second positional argument is ``plan``.
+    ``policy`` bounds the backoff on blocked hops; exhausting it raises
+    :class:`FaultError` (an unabsorbable fault, e.g. a permanent
+    partition).  ``admission`` enables load
     shedding; ``sanitizer`` audits every hop, commit and dispatch, and
     every step at which an event fires.  Raises
     :class:`SchedulingError` past ``max_steps`` (defaults to the healthy
@@ -589,7 +623,7 @@ def run_resilient(
             inst, commits,
             meta={"scheduler": "resilient-priority", "faults": len(plan)},
         )
-    return ResilientResult(
+    return OnlineResult(
         schedule=schedule, commits=dict(commits), release=release,
         report=report,
     )

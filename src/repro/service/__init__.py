@@ -12,12 +12,12 @@ online saturation detector that sheds load before queues diverge.
 Public surface::
 
     from repro.service import (
-        SchedulingService, ServiceConfig, LoadControl, ServiceReport,
+        SchedulingService, ServiceConfig, ServiceReport,
         SaturationDetector, run_service,
     )
 """
 
-from .config import LoadControl, ServiceConfig
+from .config import ServiceConfig
 from .loop import SchedulingService, run_service
 from .report import ServiceReport
 from .saturation import SaturationDetector
@@ -25,7 +25,6 @@ from .saturation import SaturationDetector
 __all__ = [
     "SchedulingService",
     "ServiceConfig",
-    "LoadControl",
     "ServiceReport",
     "SaturationDetector",
     "run_service",

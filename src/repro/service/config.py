@@ -1,12 +1,5 @@
 """Service configuration: one validated knob set for the whole loop.
 
-:class:`LoadControl` is the *shared* load-management vocabulary --
-window length, backpressure watermarks, admission policy, and the
-bounded retry budget -- consumed by both the in-process service
-(:class:`ServiceConfig`) and the multi-process cluster
-(:class:`~repro.cluster.ClusterConfig`), so both spell each knob the
-same way.
-
 :class:`ServiceConfig` bundles every robustness policy the service
 applies -- window length, backpressure watermarks and admission policy,
 per-transaction deadlines, the bounded retry policy for failed windows,
@@ -23,73 +16,16 @@ from typing import Optional
 from ..errors import ServiceError
 from ..faults.backoff import RetryPolicy
 
-__all__ = ["LoadControl", "ServiceConfig"]
+__all__ = ["ServiceConfig"]
 
 _ADMISSION_POLICIES = ("defer", "shed", "strict")
 _EXPIRY_POLICIES = ("drop", "strict")
 _SATURATION_POLICIES = ("shed", "strict")
-_ENGINES = ("auto", "batch", "reactive")
-
-
-@dataclass(frozen=True)
-class LoadControl:
-    """Shared load-management knobs for the service and the cluster.
-
-    Parameters
-    ----------
-    window:
-        Arrival-window length in time steps.
-    high_water / low_water:
-        Backpressure watermarks on the backlog.  Admission closes when
-        the backlog reaches ``high_water`` and -- hysteresis -- reopens
-        only once it drains below ``low_water`` (default
-        ``high_water // 2``).
-    admission:
-        What a closed gate does with a release: ``"defer"`` queues it
-        FIFO (nothing lost), ``"shed"`` refuses it permanently with a
-        typed reason, ``"strict"`` raises
-        :class:`~repro.errors.OverloadError`.
-    retry:
-        The bounded deterministic :class:`~repro.faults.backoff.RetryPolicy`
-        budget -- window retries in the service, worker restarts in the
-        cluster.
-    """
-
-    window: int = 16
-    high_water: int = 64
-    low_water: Optional[int] = None
-    admission: str = "defer"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ServiceError(f"window must be >= 1, got {self.window}")
-        if self.high_water < 1:
-            raise ServiceError(
-                f"high_water must be >= 1, got {self.high_water}"
-            )
-        if self.low_water is not None and not (
-            0 <= self.low_water <= self.high_water
-        ):
-            raise ServiceError(
-                f"low_water must be in [0, high_water], got {self.low_water}"
-            )
-        if self.admission not in _ADMISSION_POLICIES:
-            raise ServiceError(
-                f"unknown admission policy {self.admission!r}; choose from "
-                f"{_ADMISSION_POLICIES}"
-            )
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Validated configuration for :class:`~repro.service.SchedulingService`.
-
-    The load-management quartet (``window``, ``high_water`` /
-    ``low_water``, ``admission``, ``retry``) can be supplied directly,
-    or once through a shared :class:`LoadControl` via ``control=`` (the
-    same object a :class:`~repro.cluster.ClusterConfig` consumes);
-    explicitly passed fields win over the control's.
 
     Parameters
     ----------
@@ -129,47 +65,25 @@ class ServiceConfig:
         ``"shed"`` flips the service into load-shedding mode until the
         backlog drains; ``"strict"`` raises
         :class:`~repro.errors.SaturationError`.
-    engine:
-        ``"batch"`` feeds each window through the long-lived
-        :class:`~repro.core.incremental.SchedulerSession`;
-        ``"reactive"`` drives each window through the fault-aware
-        :func:`~repro.online.run_resilient` runtime; ``"auto"`` (default)
-        picks ``batch`` for fault-free service and ``reactive`` once a
-        fault plan is attached.
     algo:
-        Forwarded to the scheduler session by the batch engine.
-    control:
-        Optional shared :class:`LoadControl` supplying the
-        load-management fields not explicitly set.
+        Forwarded to the scheduler session of the batch engine (the
+        engine of a service without a fault plan).
     """
 
-    window: Optional[int] = None
-    high_water: Optional[int] = None
+    window: int = 16
+    high_water: int = 64
     low_water: Optional[int] = None
     deadline: Optional[int] = None
     on_expiry: str = "drop"
-    retry: Optional[RetryPolicy] = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     detector_horizon: int = 8
     slope_threshold: float = 0.5
     min_backlog: Optional[int] = None
     on_saturation: str = "shed"
-    engine: str = "auto"
     algo: str = "auto"
-    admission: Optional[str] = None
-    control: Optional[LoadControl] = None
+    admission: str = "defer"
 
     def __post_init__(self) -> None:
-        control = self.control if self.control is not None else LoadControl()
-        if self.admission is None:
-            object.__setattr__(self, "admission", control.admission)
-        if self.window is None:
-            object.__setattr__(self, "window", control.window)
-        if self.high_water is None:
-            object.__setattr__(self, "high_water", control.high_water)
-        if self.low_water is None:
-            object.__setattr__(self, "low_water", control.low_water)
-        if self.retry is None:
-            object.__setattr__(self, "retry", control.retry)
         if self.window < 1:
             raise ServiceError(f"window must be >= 1, got {self.window}")
         if self.high_water < 1:
@@ -213,10 +127,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"unknown saturation policy {self.on_saturation!r}; choose "
                 f"from {_SATURATION_POLICIES}"
-            )
-        if self.engine not in _ENGINES:
-            raise ServiceError(
-                f"unknown engine {self.engine!r}; choose from {_ENGINES}"
             )
 
     @property

@@ -6,19 +6,19 @@ continuously running system: an unbounded
 arrival windows; each window's admitted transactions are batched with
 the priority-ordered backlog (window-based greedy contention management
 per Sharma/Estrade/Busch, arXiv:1002.4182) and executed by one of two
-engines:
+engines, chosen by whether a fault plan is attached:
 
-* **batch** -- the window is fed through a long-lived
+* **batch** (no plan) -- the window is fed through a long-lived
   :class:`~repro.core.incremental.SchedulerSession`
   (``submit`` the batch, ``commit`` it back), so greedy-family
   topologies get the delta-repair engine with distances memoized across
   windows while every other topology transparently keeps its paper
   scheduler -- commit times are bit-identical to the old per-window
   :func:`repro.schedule` rebuild either way;
-* **reactive** -- the window runs through the fault-aware
-  :func:`~repro.online.run_resilient` runtime, consuming the service's
-  :class:`~repro.faults.plan.FaultPlan` slice for that span live (hop
-  retries, reroutes, lease recovery).
+* **reactive** (a plan, even the empty ``FaultPlan()``) -- the window
+  runs through the fault-aware :func:`~repro.online.run_resilient`
+  runtime, consuming the plan's slice for that span live (hop retries,
+  reroutes, lease recovery).
 
 Robustness around the engines:
 
@@ -118,8 +118,9 @@ class SchedulingService:
         saturation).
     plan:
         Optional live :class:`~repro.faults.plan.FaultPlan` on the
-        service's global clock; forces the reactive engine under
-        ``engine="auto"``.
+        service's global clock.  Attaching one (``FaultPlan()`` for a
+        fault-free run) selects the reactive engine; without one the
+        batch engine runs.
     rng:
         Randomness for randomized batch schedulers (cluster/star);
         defaults to a fixed-seed generator so the service is
@@ -139,16 +140,7 @@ class SchedulingService:
         self.stream = stream
         self.config = config or ServiceConfig()
         self.plan = plan
-        if self.config.engine == "batch" and plan is not None:
-            raise ServiceError(
-                "the batch engine does not consume fault plans; use "
-                "engine='reactive' (or 'auto') to inject faults"
-            )
-        self.engine = (
-            self.config.engine
-            if self.config.engine != "auto"
-            else ("reactive" if plan is not None else "batch")
-        )
+        self.engine = "reactive" if plan is not None else "batch"
         if plan is not None:
             plan.validate_against(stream.network)
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -361,8 +353,6 @@ class SchedulingService:
         that ended before one window is done with for good, and the slice
         costs the live events, not the whole plan.
         """
-        if self.plan is None:
-            return FaultPlan()
         span_end = exec_start + self.config.window
         queue = self._plan_queue
         while (

@@ -1,11 +1,11 @@
 """Runtime invariant sanitizer: turn silent corruption into typed errors.
 
-The online runtimes (:func:`repro.online.run_online` and the fault-aware
-:func:`repro.online.run_resilient`) mutate shared state -- object
-positions, in-flight sets, pending transactions -- step by step.  A bug in
-that machinery does not crash; it silently produces a wrong schedule.  An
-:class:`InvariantSanitizer` is a step hook both runtimes call to assert
-the model's safety invariants *while decisions are being made*:
+The online runtime (:func:`repro.online.run_resilient`) mutates shared
+state -- object positions, in-flight sets, pending transactions -- step
+by step.  A bug in that machinery does not crash; it silently produces a
+wrong schedule.  An :class:`InvariantSanitizer` is a step hook the
+runtime calls to assert the model's safety invariants *while decisions
+are being made*:
 
 * **single copy** -- every object sits at exactly one node, and the
   in-flight set is consistent with the position map (an object cannot be
@@ -36,7 +36,7 @@ __all__ = ["InvariantSanitizer"]
 
 
 class InvariantSanitizer:
-    """Step-hook asserting the online runtimes' safety invariants.
+    """Step-hook asserting the online runtime's safety invariants.
 
     Parameters
     ----------
@@ -79,7 +79,7 @@ class InvariantSanitizer:
     ) -> None:
         """Single-copy and state-consistency invariants, once per step.
 
-        The runtimes call this at every step they visit; they skip the
+        The runtime calls this at every step it visits; it skips the
         steps at which nothing happens.
         """
         if not self.enabled:

@@ -28,8 +28,11 @@ from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder, active
 from repro.online.arrivals import OnlineWorkload, TimedTransaction
 from repro.online.report import OnlineDegradationReport
-from repro.online.resilient import AdmissionControl, ResilientResult
-from repro.online.runtime import timestamp_priority
+from repro.online.resilient import (
+    AdmissionControl,
+    OnlineResult,
+    timestamp_priority,
+)
 from repro.sim.sanitizer import InvariantSanitizer
 
 __all__ = ["run_resilient_stepwise"]
@@ -61,7 +64,7 @@ def run_resilient_stepwise(
     sanitizer: InvariantSanitizer | None = None,
     max_steps: int | None = None,
     recorder: Recorder | None = None,
-) -> ResilientResult:
+) -> OnlineResult:
     """The resilient runtime, one hop and one full rescan per step."""
     rec = active(recorder)
     plan = plan if plan is not None else FaultPlan()
@@ -388,7 +391,7 @@ def run_resilient_stepwise(
             inst, commits,
             meta={"scheduler": "resilient-priority", "faults": len(plan)},
         )
-    return ResilientResult(
+    return OnlineResult(
         schedule=schedule, commits=dict(commits), release=release,
         report=report,
     )

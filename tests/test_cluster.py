@@ -384,6 +384,9 @@ class TestClusterConfig:
         with pytest.raises(ClusterError):
             ClusterConfig(**kw)
 
+    def test_default_restart_budget(self):
+        assert ClusterConfig().retry == RetryPolicy(max_retries=3, max_wait=4)
+
     def test_build_network_rejects_unknown_topology(self):
         with pytest.raises(ReproError, match="unknown topology"):
             network_from_sizes("moebius", 3)

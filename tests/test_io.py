@@ -153,7 +153,7 @@ class TestExtensionRoundTrips:
 
     def test_online_workload_round_trip(self, tmp_path):
         from repro.io import load_online_workload, save_online_workload
-        from repro.online import poisson_workload, run_online
+        from repro.online import poisson_workload, run_resilient
         from repro.network import clique
 
         rng = np.random.default_rng(9)
@@ -168,8 +168,7 @@ class TestExtensionRoundTrips:
         ]
         # the reloaded stream schedules identically
         assert (
-            run_online(back).schedule.commit_times
-            == run_online(wl).schedule.commit_times
+            run_resilient(back).commits == run_resilient(wl).commits
         )
 
     def test_corrupt_rw_payload_rejected(self, tmp_path):

@@ -175,18 +175,6 @@ class TestParity:
         assert plain.as_dict() == traced.as_dict()
         assert rec.trace().hottest_edge == plain.hottest_edge
 
-    def test_run_online_traced_untraced_identical(self):
-        from repro.online.arrivals import poisson_workload
-        from repro.online.runtime import run_online
-
-        wl = poisson_workload(clique(8), w=6, k=2, rate=0.7, count=6,
-                              rng=np.random.default_rng(11))
-        plain = run_online(wl)
-        rec = MemoryRecorder()
-        traced = run_online(wl, recorder=rec)
-        assert plain.schedule.commit_times == traced.schedule.commit_times
-        assert rec.trace().commit_times == plain.schedule.commit_times
-
     def test_run_resilient_traced_untraced_identical(self):
         from repro.faults.plan import random_fault_plan
         from repro.online.arrivals import poisson_workload

@@ -12,7 +12,7 @@ from repro.online import (
     poisson_workload,
     random_priority,
     run_epoch_batched,
-    run_online,
+    run_resilient,
     timestamp_priority,
 )
 from repro.workloads import root_rng
@@ -71,9 +71,11 @@ class TestWorkload:
 
 
 class TestRunOnline:
+    """The online engine on the empty plan: the Greedy contention manager."""
+
     def test_schedule_feasible_and_respects_releases(self):
         wl = tiny_workload()
-        res = run_online(wl)
+        res = run_resilient(wl)
         res.schedule.validate()
         for tid, ct in res.schedule.commit_times.items():
             assert ct >= wl.release_of(tid)
@@ -81,12 +83,12 @@ class TestRunOnline:
     def test_timestamp_serves_older_first(self):
         # both txns need object 0; the earlier-released one commits first
         wl = tiny_workload()
-        res = run_online(wl)
+        res = run_resilient(wl)
         assert res.schedule.time_of(0) < res.schedule.time_of(1)
 
     def test_response_metrics(self):
         wl = tiny_workload()
-        res = run_online(wl)
+        res = run_resilient(wl)
         rts = res.response_times
         assert set(rts) == {0, 1, 2}
         assert res.max_response >= res.mean_response > 0 or (
@@ -96,7 +98,7 @@ class TestRunOnline:
     def test_random_priority_feasible(self):
         wl = poisson_workload(grid(5), w=6, k=2, rate=0.7, count=20,
                               rng=root_rng(4))
-        res = run_online(wl, random_priority, rng=root_rng(5))
+        res = run_resilient(wl, priority=random_priority, rng=root_rng(5))
         res.schedule.validate()
 
     @pytest.mark.parametrize("net", [clique(16), grid(4), cluster(3, 4, 5)],
@@ -104,7 +106,7 @@ class TestRunOnline:
     def test_terminates_across_topologies(self, net):
         wl = poisson_workload(net, w=5, k=2, rate=0.4,
                               count=min(12, net.n), rng=root_rng(net.n))
-        res = run_online(wl)
+        res = run_resilient(wl)
         assert len(res.schedule.commit_times) == wl.m
 
     def test_max_steps_guard(self):
@@ -112,7 +114,7 @@ class TestRunOnline:
 
         wl = tiny_workload()
         with pytest.raises(SchedulingError, match="exceeded"):
-            run_online(wl, max_steps=1)
+            run_resilient(wl, max_steps=1)
 
     def test_priority_helpers_cover_all(self):
         wl = tiny_workload()
@@ -134,6 +136,15 @@ class TestEpochBatched:
                               rng=root_rng(9))
         res = run_epoch_batched(wl, rng=root_rng(10))
         assert len(res.schedule.commit_times) == 20
+        assert res.commits == res.schedule.commit_times
+        assert res.makespan == res.schedule.makespan
+        assert res.report.as_dict() == {
+            "released": 20, "committed": 20, "lost": 0, "shed": 0,
+            "commit_rate": 1.0, "shed_fraction": 0.0,
+            "deferred_admissions": 0, "retries": 0, "reroutes": 0,
+            "rehomed": 0, "faults": 0, "violations": 0,
+        }
+        assert res.report.sanitizer_checks == 0
 
     def test_custom_epoch_and_scheduler(self):
         from repro.core import GreedyScheduler

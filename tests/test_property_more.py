@@ -29,7 +29,7 @@ from repro.io import (
     schedule_to_dict,
 )
 from repro.network import clique, cluster, grid, line, star
-from repro.online import OnlineWorkload, TimedTransaction, run_online
+from repro.online import OnlineWorkload, TimedTransaction, run_resilient
 from repro.sim import execute
 from repro.workloads import random_k_subsets
 
@@ -145,7 +145,7 @@ def test_online_runtime_terminates_and_respects_releases(inst, gaps):
         TimedTransaction(int(r), t) for r, t in zip(releases, txns)
     ]
     wl = OnlineWorkload(inst.network, arrivals, inst.object_homes)
-    res = run_online(wl)
+    res = run_resilient(wl)
     res.schedule.validate()
     for tid, ct in res.schedule.commit_times.items():
         assert ct >= wl.release_of(tid)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from online_oracle import run_online
+
 from repro.core import Transaction
 from repro.errors import FaultError, OverloadError
 from repro.faults import (
@@ -19,7 +21,7 @@ from repro.online import (
     OnlineWorkload,
     TimedTransaction,
     poisson_workload,
-    run_online,
+    random_priority,
     run_resilient,
 )
 from repro.sim import InvariantSanitizer
@@ -54,8 +56,20 @@ class TestAdmissionControl:
             assert AdmissionControl(2, policy).policy == policy
 
 
+def _assert_same_result(res, healthy):
+    assert res.schedule is not None
+    assert res.schedule.commit_times == healthy.schedule.commit_times
+    assert res.commits == healthy.commits
+    assert res.release == healthy.release
+    assert res.report == healthy.report
+    assert res.makespan == healthy.makespan
+    assert res.response_times == healthy.response_times
+    assert res.mean_response == healthy.mean_response
+    assert res.max_response == healthy.max_response
+
+
 class TestEmptyPlanParity:
-    """Acceptance criterion: empty plan reproduces run_online exactly."""
+    """The empty plan reproduces the step-driven oracle exactly."""
 
     @pytest.mark.parametrize(
         "net", [clique(16), grid(4), line(10), cluster(3, 4, 5)],
@@ -63,16 +77,12 @@ class TestEmptyPlanParity:
     )
     def test_field_by_field(self, net):
         wl = stream(net, count=min(14, net.n), seed=net.n)
-        healthy = run_online(wl)
-        res = run_resilient(wl)
-        assert res.schedule is not None
-        assert res.schedule.commit_times == healthy.schedule.commit_times
-        assert res.commits == healthy.schedule.commit_times
-        assert res.release == healthy.release
-        assert res.makespan == healthy.makespan
-        assert res.response_times == healthy.response_times
-        assert res.mean_response == healthy.mean_response
-        assert res.max_response == healthy.max_response
+        _assert_same_result(run_resilient(wl), run_online(wl))
+        _assert_same_result(
+            run_resilient(wl, priority=random_priority,
+                          rng=root_rng(net.n + 1)),
+            run_online(wl, random_priority, rng=root_rng(net.n + 1)),
+        )
 
     def test_no_recovery_work_on_empty_plan(self):
         res = run_resilient(tiny_workload())
@@ -95,7 +105,7 @@ class TestLiveFaultAbsorption:
         net = grid(5)
         for seed in range(4):
             wl = stream(net, count=16, seed=seed)
-            horizon = run_online(wl).makespan
+            horizon = run_resilient(wl).makespan
             plan = random_fault_plan(
                 net, horizon, root_rng(100 + seed), intensity=2.0,
                 objects=wl.instance.objects,
@@ -109,7 +119,7 @@ class TestLiveFaultAbsorption:
 
     def test_transient_link_failure_delays_not_drops(self):
         wl = tiny_workload()
-        healthy = run_online(wl)
+        healthy = run_resilient(wl)
         # cut the only route from obj 0's home toward txn 1 for a while
         plan = FaultPlan([LinkFailure(1, 2, 0, 12)])
         res = run_resilient(wl, plan)

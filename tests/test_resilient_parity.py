@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from online_oracle import run_online
 from resilient_oracle import run_resilient_stepwise
 
 from repro.core import Transaction
@@ -39,7 +40,6 @@ from repro.online import (
     TimedTransaction,
     poisson_workload,
     random_priority,
-    run_online,
     run_resilient,
     timestamp_priority,
 )

@@ -6,7 +6,7 @@ from repro.core import Transaction
 from repro.errors import InvariantViolationError
 from repro.faults import FaultPlan, LinkFailure
 from repro.network import grid
-from repro.online import poisson_workload, run_online, run_resilient
+from repro.online import poisson_workload, run_resilient
 from repro.sim import InvariantSanitizer
 from repro.workloads import root_rng
 
@@ -108,27 +108,19 @@ class TestModes:
 
 
 class TestRuntimeWiring:
-    def test_run_online_accepts_sanitizer(self):
-        wl = poisson_workload(grid(4), w=5, k=2, rate=1.0, count=12,
-                              rng=root_rng(3))
-        san = InvariantSanitizer()
-        res = run_online(wl, sanitizer=san)
-        assert len(res.schedule.commit_times) == wl.m
-        assert san.checks > 0
-        assert san.violations == []
-
-    def test_sanitized_run_online_matches_unsanitized(self):
+    def test_sanitized_run_resilient_matches_unsanitized(self):
         wl = poisson_workload(grid(4), w=5, k=2, rate=1.0, count=12,
                               rng=root_rng(4))
-        assert (
-            run_online(wl, sanitizer=InvariantSanitizer()).schedule.commit_times
-            == run_online(wl).schedule.commit_times
-        )
+        sanitized = run_resilient(wl, sanitizer=InvariantSanitizer())
+        plain = run_resilient(wl)
+        assert sanitized.commits == plain.commits
+        assert sanitized.report.sanitizer_checks > 0
 
     def test_run_resilient_reports_checks(self):
         wl = poisson_workload(grid(4), w=5, k=2, rate=1.0, count=12,
                               rng=root_rng(5))
         san = InvariantSanitizer()
         res = run_resilient(wl, sanitizer=san)
+        assert res.report.committed == wl.m
         assert res.report.sanitizer_checks == san.checks > 0
         assert res.report.violations == 0

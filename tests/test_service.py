@@ -5,14 +5,17 @@ hysteresis (defer / shed / strict), deadline expiry, bounded window retry
 under unabsorbable faults, crash handling with typed losses, saturation
 detection with shed-mode degradation, the conservation identity
 ``committed + shed + expired + lost + final_backlog == released``,
-same-seed determinism, run_online commit parity on the empty plan,
-recorder bit-parity, and JSON round-trips through the report registry.
+same-seed determinism, commit parity with the step-driven online oracle
+on the empty plan, recorder bit-parity, and JSON round-trips through the
+report registry.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+
+from online_oracle import run_online
 
 from repro.errors import (
     DeadlineExpiredError,
@@ -31,7 +34,6 @@ from repro.faults.plan import (
 )
 from repro.network import clique, grid, line
 from repro.obs import MemoryRecorder
-from repro.online import run_online
 from repro.online.arrivals import OnlineWorkload
 from repro.service import (
     SaturationDetector,
@@ -78,6 +80,9 @@ class _BurstOnceStream(ArrivalStream):
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ServiceConfig()
+        assert (cfg.window, cfg.high_water, cfg.low_water) == (16, 64, None)
+        assert cfg.admission == "defer"
+        assert cfg.retry == RetryPolicy()
         assert cfg.effective_low_water == cfg.high_water // 2
         assert cfg.effective_min_backlog == cfg.high_water // 2
 
@@ -94,25 +99,18 @@ class TestConfig:
             {"slope_threshold": 0.0},
             {"min_backlog": 0},
             {"on_saturation": "panic"},
-            {"engine": "quantum"},
+            {"low_water": -1},
         ],
     )
     def test_bad_config_raises(self, kw):
         with pytest.raises(ServiceError):
             ServiceConfig(**kw)
 
-    def test_batch_engine_rejects_fault_plan(self):
-        s = _stream(grid(3), 0.3)
-        plan = FaultPlan([NodeCrash(0, 5)])
-        with pytest.raises(ServiceError, match="batch engine"):
-            SchedulingService(s, ServiceConfig(engine="batch"), plan=plan)
-
     def test_auto_engine_picks_by_plan(self):
         assert SchedulingService(_stream(grid(3), 0.3)).engine == "batch"
-        svc = SchedulingService(
-            _stream(grid(3), 0.3), plan=FaultPlan([NodeCrash(0, 5)])
-        )
-        assert svc.engine == "reactive"
+        for plan in (FaultPlan(), FaultPlan([NodeCrash(0, 5)])):
+            svc = SchedulingService(_stream(grid(3), 0.3), plan=plan)
+            assert svc.engine == "reactive"
 
 
 class TestSaturationDetector:
@@ -316,8 +314,8 @@ class TestFaults:
         assert rep.accounted
 
     def test_empty_plan_reactive_commits_everything(self):
-        cfg = ServiceConfig(engine="reactive")
-        rep = run_service(_stream(grid(4), 0.5, limit=30), config=cfg)
+        rep = run_service(_stream(grid(4), 0.5, limit=30), plan=FaultPlan())
+        assert rep.engine == "reactive"
         assert rep.committed == rep.released == 30
         assert rep.accounted
 
@@ -374,7 +372,8 @@ class TestFaults:
 class TestRunOnlineParity:
     def test_commit_counts_match_run_online(self):
         # same arrival sequence, empty plan, sub-saturation rate: the
-        # service commits exactly the transactions run_online commits
+        # reactive service commits exactly the transactions the
+        # step-driven online oracle commits
         net = clique(12)
         svc_stream = _RoundRobinStream(net, w=10, k=2, rate=0.4,
                                        rng=spawn(11, "par"), limit=10)
@@ -383,7 +382,7 @@ class TestRunOnlineParity:
         arrivals = ref_stream.take(10)
         workload = OnlineWorkload(net, arrivals, ref_stream.object_homes)
         healthy = run_online(workload)
-        rep = run_service(svc_stream, config=ServiceConfig(engine="reactive"))
+        rep = run_service(svc_stream, plan=FaultPlan())
         assert rep.committed == len(healthy.schedule.commit_times) == 10
         assert rep.released == workload.m
         assert rep.lost == rep.shed == rep.expired == 0
