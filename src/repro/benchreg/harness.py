@@ -118,11 +118,11 @@ def _pipeline_run(kernel):
 
 def _reference_schedule(inst):
     """The greedy schedule assembled from the oracles."""
-    from ..core.greedy import positioning_offset
+    from ..core.greedy import positioning_offset_reference
     from ..core.schedule import Schedule
 
     colors = _pipeline_run("reference")(inst)
-    offset = positioning_offset(inst, colors)
+    offset = positioning_offset_reference(inst, colors)
     return Schedule(inst, {tid: c + offset for tid, c in colors.items()})
 
 

@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import ClusterError
 from ..io.serialize import (
     append_jsonl,
-    dumps_canonical,
     dumps_line,
     json_payload,
     read_json,
@@ -95,8 +94,11 @@ class WindowJournal:
         ``state`` is a full service snapshot taken at the boundary after
         window ``window`` committed; the temp-file + ``os.replace`` dance
         guarantees a crash mid-write preserves the previous checkpoint.
+        The document is single-line JSON (``json``'s C encoder; an
+        indented one takes its pure-Python path); :meth:`load` reads
+        either form.
         """
-        doc = dumps_canonical(
+        doc = dumps_line(
             json_payload(
                 CHECKPOINT_KIND,
                 {"window": int(window), "state": state},

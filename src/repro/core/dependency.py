@@ -158,10 +158,10 @@ class ArrayDependencyGraph(DependencyGraph):
     Same public surface as :class:`DependencyGraph`; the adjacency dicts
     are materialized lazily, so the hot pipeline (build then colour) never
     pays for per-edge Python dict construction.  The builder enumerates
-    conflict pairs per object with ``triu_indices`` (the object ->
-    transaction inverted index the :class:`Instance` already maintains),
-    dedupes pairs with one ``np.unique``, and gathers all edge weights in
-    a single fancy-index read of the cached distance matrix.
+    every object's conflict pairs at once from the instance's cached
+    :attr:`~repro.core.instance.Instance.incidence` arrays (a restricted
+    build masks the same arrays), dedupes pairs with one sort, and
+    gathers all edge weights in a single ``pair_distances`` read.
     """
 
     def __init__(
@@ -182,40 +182,37 @@ class ArrayDependencyGraph(DependencyGraph):
         cls, instance: Instance, tids: Iterable[int] | None = None
     ) -> "ArrayDependencyGraph":
         """Array construction of ``H`` (see :meth:`DependencyGraph.build`)."""
-        keep = None if tids is None else set(tids)
-        kept = [
-            t
-            for t in instance.transactions
-            if keep is None or t.tid in keep
-        ]
-        tid_arr = np.asarray([t.tid for t in kept], dtype=np.int64)
-        perm = np.argsort(tid_arr, kind="stable")
-        vert = tid_arr[perm]
-        node_of = np.asarray([t.node for t in kept], dtype=np.int64)[perm]
+        inc = instance.incidence
+        seg = np.diff(inc.indptr)
+        txn = inc.txn
+        if tids is None:
+            kept = np.ones(len(inc.tids), dtype=bool)
+        else:
+            kept = np.isin(inc.tids, np.fromiter(tids, dtype=np.int64))
+            mask = kept[txn]
+            txn = txn[mask]
+            seg = np.bincount(
+                np.repeat(np.arange(len(seg)), seg)[mask], minlength=len(seg)
+            )
+        # vertices in tid order; rank[i] is transaction i's vertex position
+        kept_pos = np.flatnonzero(kept)
+        perm = kept_pos[np.argsort(inc.tids[kept_pos], kind="stable")]
+        vert = inc.tids[perm]
+        node_of = inc.nodes[perm]
         m = len(vert)
-        pos_of = {int(t): i for i, t in enumerate(vert.tolist())}
+        rank = np.empty(len(inc.tids), dtype=np.int64)
+        rank[perm] = np.arange(m, dtype=np.int64)
 
-        # flat (object, user) incidence list over objects with >= 2 users
-        seg_lens: list[int] = []
-        upos_flat: list[int] = []
-        for obj in instance.objects:
-            users = instance.users(obj)
-            if keep is None:
-                ps = [pos_of[t.tid] for t in users]
-            else:
-                ps = [pos_of[t.tid] for t in users if t.tid in keep]
-            if len(ps) >= 2:
-                seg_lens.append(len(ps))
-                upos_flat.extend(ps)
-
-        if not seg_lens:
+        # the (object, user) incidences of objects with >= 2 kept users
+        pairs = seg >= 2
+        if not pairs.any():
             empty = np.zeros(0, dtype=np.int64)
             return cls(vert, np.zeros(m + 1, dtype=np.int64), empty, empty)
+        upos = rank[txn[np.repeat(pairs, seg)]]
+        seg = seg[pairs]
 
         # all within-object pairs in one shot: incidence i pairs with the
         # counts[i] incidences after it in its own segment
-        seg = np.asarray(seg_lens, dtype=np.int64)
-        upos = np.asarray(upos_flat, dtype=np.int64)
         n_inc = len(upos)
         starts = np.zeros(len(seg), dtype=np.int64)
         np.cumsum(seg[:-1], out=starts[1:])

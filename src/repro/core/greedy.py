@@ -23,13 +23,17 @@ from .instance import Instance
 from .schedule import Schedule
 from .scheduler import Scheduler, register
 
-__all__ = ["GreedyScheduler", "positioning_offset"]
+__all__ = [
+    "GreedyScheduler",
+    "positioning_offset",
+    "positioning_offset_reference",
+]
 
 
-def positioning_offset(
+def positioning_offset_reference(
     instance: Instance, colors: dict[int, int]
 ) -> int:
-    """Smallest global time shift making every object's first leg feasible.
+    """Per-object loop form of :func:`positioning_offset`: the test oracle.
 
     For each object, the first user is the one with the smallest colour;
     the object must cover ``dist(home, first user)`` by that commit time,
@@ -46,6 +50,28 @@ def positioning_offset(
         if need > offset:
             offset = need
     return offset
+
+
+def positioning_offset(
+    instance: Instance, colors: dict[int, int]
+) -> int:
+    """Smallest global time shift making every object's first leg feasible.
+
+    Same value as :func:`positioning_offset_reference`, read from the
+    instance's incidence arrays: one lexsort picks every object's first
+    user by ``(colour, tid)`` and one ``pair_distances`` gather measures
+    all first legs.
+    """
+    inc = instance.incidence
+    color = inc.per_txn(colors)
+    first = inc.first_users(color, inc.tids)
+    homes = instance.object_homes
+    home = np.fromiter(
+        map(homes.__getitem__, inc.objects.tolist()), np.int64,
+        len(inc.objects),
+    )
+    legs = instance.network.pair_distances(home, inc.nodes[first])
+    return int((legs - color[first]).max(initial=0))
 
 
 @register("greedy")

@@ -523,7 +523,16 @@ class SchedulerSession:
                 )
         self.mode = mode
         self.algo = base
-        self._homes: Dict[int, int] = dict(object_homes or {})
+        self._homes: Dict[int, int] = {
+            int(o): int(v) for o, v in (object_homes or {}).items()
+        }
+        n = network.n
+        for o, v in self._homes.items():
+            if not 0 <= v < n:
+                raise SessionError(
+                    f"object {o} homed at node {v}, network has nodes "
+                    f"0..{n - 1}"
+                )
         self._rng = rng
         self._recorder = active(recorder)
         self._options = dict(options or {})
@@ -853,20 +862,21 @@ class SchedulerSession:
         return {tid: sched.commit_times[tid] for tid in tids}
 
     def _build_instance(self) -> Instance:
+        # the session enforced every Instance invariant at submit time
+        # (unique tids, one txn per node, nodes in range, used objects
+        # homed) and checked every home when it opened, so skip
+        # re-validation on the per-epoch read path
         engine = self._engine
         if engine is None:
-            txns = [self._txn_of(tid) for tid in self.active_ids()]
+            txns = [self._active[tid] for tid in sorted(self._active)]
             used: Set[int] = set()
             for t in txns:
                 used.update(t.objects)
-            homes = {obj: self._homes[obj] for obj in sorted(used)}
-            return Instance(self.network, txns, homes)
-        # the session enforced every Instance invariant at submit time
-        # (unique tids, one txn per node, nodes in range, used objects
-        # homed), so skip re-validation on the per-epoch read path
-        txn_map = engine._txn
-        txns = [txn_map[tid] for tid in sorted(txn_map)]
-        homes = {obj: self._homes[obj] for obj in sorted(engine._obj_users)}
+        else:
+            txn_map = engine._txn
+            txns = [txn_map[tid] for tid in sorted(txn_map)]
+            used = set(engine._obj_users)
+        homes = {obj: self._homes[obj] for obj in sorted(used)}
         return Instance._from_validated(self.network, txns, homes)
 
     def _batch_schedule(self, instance: Optional[Instance] = None) -> Schedule:

@@ -8,13 +8,53 @@ precomputes the users-per-object index that every scheduler needs.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import InstanceError
 from ..network.graph import Network
 from .transaction import Transaction
 
-__all__ = ["Instance"]
+__all__ = ["Incidence", "Instance"]
+
+
+class Incidence(NamedTuple):
+    """An instance's (object, transaction) incidence, grouped by object.
+
+    Group ``g`` is the used object ``objects[g]`` (ascending); its users
+    are the transaction positions ``txn[indptr[g]:indptr[g + 1]]``
+    (indices into :attr:`Instance.transactions`, in the order
+    :meth:`Instance.users` lists them).  ``tids`` and ``nodes`` give
+    each position's transaction id and host node.  Homed objects no
+    transaction uses have no group.
+    """
+
+    objects: np.ndarray
+    indptr: np.ndarray
+    txn: np.ndarray
+    tids: np.ndarray
+    nodes: np.ndarray
+
+    def per_txn(self, by_tid: Mapping[int, int]) -> np.ndarray:
+        """``by_tid``'s value for every transaction position."""
+        return np.fromiter(
+            map(by_tid.__getitem__, self.tids.tolist()), np.int64,
+            len(self.tids),
+        )
+
+    def first_users(self, *keys: np.ndarray) -> np.ndarray:
+        """Each object's user with the lexicographically smallest ``keys``.
+
+        ``keys`` are arrays over transaction positions, most significant
+        first; the result holds one transaction position per group.
+        """
+        group = np.repeat(np.arange(len(self.objects)), np.diff(self.indptr))
+        order = np.lexsort(
+            tuple(k[self.txn] for k in reversed(keys)) + (group,)
+        )
+        return self.txn[order[self.indptr[:-1]]]
 
 
 class Instance:
@@ -88,6 +128,7 @@ class Instance:
         self._by_node: dict[int, Transaction] = {
             t.node: t for t in self.transactions
         }
+        self._incidence: Incidence | None = None
 
     @classmethod
     def _from_validated(
@@ -99,10 +140,12 @@ class Instance:
         """Construct without re-running the constructor checks.
 
         Fast path for callers that already maintain every constructor
-        invariant themselves (the incremental
+        invariant themselves (the
         :class:`~repro.core.incremental.SchedulerSession` validates each
-        delta at submit time): ``transactions`` unique by tid and node,
-        nodes in range, ``object_homes`` covering every used object.
+        delta at submit time and every home when it opens, and
+        :meth:`restrict` starts from a valid instance): ``transactions``
+        non-empty and unique by tid and node, nodes in range,
+        ``object_homes`` covering every used object with nodes in range.
         The users-per-object index is built lazily on first access.
         """
         inst = cls.__new__(cls)
@@ -112,6 +155,7 @@ class Instance:
         inst._users = None
         inst._by_tid = {t.tid: t for t in inst.transactions}
         inst._by_node = {t.node: t for t in inst.transactions}
+        inst._incidence = None
         return inst
 
     def _user_index(self) -> dict[int, tuple[Transaction, ...]]:
@@ -122,6 +166,38 @@ class Instance:
                     users.setdefault(o, []).append(t)
             self._users = {o: tuple(ts) for o, ts in users.items()}
         return self._users
+
+    @property
+    def incidence(self) -> Incidence:
+        """The (object, transaction) incidence as int arrays (cached).
+
+        The array form of the users-per-object index that the conflict
+        graph build, the positioning offset and the phase hand-off read
+        instead of looping over :meth:`users` object by object.
+        """
+        if self._incidence is None:
+            txns = self.transactions
+            counts = [len(t.objects) for t in txns]
+            flat = np.fromiter(
+                chain.from_iterable(t.objects for t in txns),
+                dtype=np.int64,
+                count=sum(counts),
+            )
+            owner = np.repeat(np.arange(len(txns), dtype=np.int64), counts)
+            # stable: users stay in transaction order within each object
+            order = np.argsort(flat, kind="stable")
+            objs = flat[order]
+            head = np.ones(len(objs), dtype=bool)
+            np.not_equal(objs[1:], objs[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            self._incidence = Incidence(
+                objects=objs[starts],
+                indptr=np.append(starts, len(objs)),
+                txn=owner[order],
+                tids=np.fromiter((t.tid for t in txns), np.int64, len(txns)),
+                nodes=np.fromiter((t.node for t in txns), np.int64, len(txns)),
+            )
+        return self._incidence
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -202,16 +278,30 @@ class Instance:
         ``object_positions`` overrides homes (used by phased schedulers that
         hand a later phase the objects' *current* locations); only objects
         referenced by the kept transactions need positions.
+
+        A subset of a valid instance keeps every other constructor
+        invariant, so only what a restriction can break is checked, and
+        raises what the constructor raises: an empty or duplicate tid
+        list, an unknown tid (``KeyError``), a position outside the graph.
         """
         keep = [self._by_tid[t] for t in tids]
-        needed = set()
+        needed: set[int] = set()
         for t in keep:
             needed |= t.objects
-        pos = dict(self.object_homes)
-        if object_positions:
-            pos.update(object_positions)
-        homes = {o: pos[o] for o in needed}
-        return Instance(self.network, keep, homes)
+        pos = object_positions or {}
+        homes = {
+            o: int(pos[o]) if o in pos else self.object_homes[o]
+            for o in needed
+        }
+        n = self.network.n
+        if (
+            not keep
+            or len({t.tid for t in keep}) < len(keep)
+            or not all(0 <= v < n for v in homes.values())
+        ):
+            # the validating constructor raises its own error for these
+            return Instance(self.network, keep, homes)
+        return Instance._from_validated(self.network, keep, homes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

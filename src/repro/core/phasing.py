@@ -51,11 +51,15 @@ def last_user_positions(
 ) -> None:
     """Update ``positions`` to each object's final node under ``sub_schedule``.
 
-    Objects the sub-schedule never used keep their previous position.
+    An object ends at its last user by ``(commit time, node)``, the last
+    stop of its :meth:`~repro.core.schedule.Schedule.itinerary` (a node
+    hosts one transaction, so no tid tie-break is needed); objects the
+    sub-schedule never used keep their previous position.
     """
-    for obj, visits in sub_schedule.itineraries():
-        if len(visits) > 1:
-            positions[obj] = visits[-1].node
+    inc = sub_schedule.instance.incidence
+    time = inc.per_txn(sub_schedule.commit_times)
+    last = inc.first_users(-time, -inc.nodes)
+    positions.update(zip(inc.objects.tolist(), inc.nodes[last].tolist()))
 
 
 def run_phase(

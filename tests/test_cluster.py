@@ -32,10 +32,12 @@ from repro.cluster import (
 )
 from repro.cluster.wire import (
     CELL_KIND,
+    MSG_DONE,
     MSG_WINDOW,
     decode_message,
     encode_message,
 )
+from repro.cluster.worker import WorkerSpec, worker_main
 from repro.errors import (
     ClusterError,
     HeartbeatTimeoutError,
@@ -45,6 +47,7 @@ from repro.errors import (
 )
 from repro.faults.backoff import RetryPolicy
 from repro.errors import TopologyError
+from repro.io import dumps_canonical, dumps_line, json_payload
 from repro.network import grid, network_from_sizes, node_shards, shard_cluster
 from repro.service import SchedulingService, ServiceConfig
 
@@ -54,6 +57,19 @@ SHARD_STREAM = StreamSpec(
     kind="poisson", w=12, k=2, rate=0.8, seed=3, assign="shard"
 )
 SVC = ServiceConfig(window=8)
+
+
+class _Conn:
+    """The send end of a worker pipe, kept in memory."""
+
+    def __init__(self) -> None:
+        self.sent: list = []
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+    def close(self) -> None:
+        pass
 
 
 def quick_config(**kw) -> ClusterConfig:
@@ -366,6 +382,47 @@ class TestJournal:
         a = accounting_digest({"released": 3, "committed": 2})
         b = accounting_digest({"committed": 2, "released": 3})
         assert a == b
+
+    def test_checkpoint_is_one_sorted_line(self, tmp_path):
+        j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
+        state = {"stream": {"clock": 8}, "homes": {"3": 1, "10": 2}}
+        j.checkpoint(4, state)
+        text = (tmp_path / "w.ckpt").read_text(encoding="utf-8")
+        assert text == dumps_line(json_payload(
+            "cluster_checkpoint", {"window": 4, "state": state}))
+        assert j.load()[0] == {"window": 4, "state": state}
+
+    def test_indented_checkpoint_recovers_worker_bit_for_bit(self, tmp_path):
+        # checkpoints were indented JSON before they became one line;
+        # a journal left with one must still recover the same worker
+        def spec(directory, windows):
+            return WorkerSpec(
+                worker=0, shards=1, owned_from={0: 0}, topology="grid",
+                size=3, size2=None, stream=STREAM, service=SVC,
+                windows=windows, start_window=0,
+                journal_path=str(directory / "w.journal.jsonl"),
+                checkpoint_path=str(directory / "w.ckpt.json"),
+                checkpoint_every=4,
+            )
+
+        def done(directory, windows):
+            directory.mkdir(exist_ok=True)
+            conn = _Conn()
+            worker_main(conn, spec(directory, windows))
+            kind, body = decode_message(conn.sent[-1])
+            assert kind == MSG_DONE
+            return body
+
+        clean = done(tmp_path / "clean", 10)
+        crashed = tmp_path / "crashed"
+        done(crashed, 6)  # checkpoint at window 4, journal to window 5
+        ckpt = crashed / "w.ckpt.json"
+        ckpt.write_text(dumps_canonical(json.loads(ckpt.read_text())))
+        assert "\n" in ckpt.read_text()
+        recovered = done(crashed, 10)
+        assert (clean["replayed"], recovered["replayed"]) == (0, 2)
+        for key in ("report", "sojourns", "accounting"):
+            assert recovered[key] == clean[key]
 
 
 class TestClusterConfig:

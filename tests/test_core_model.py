@@ -155,3 +155,32 @@ class TestRestrict:
         inst = Instance(line(3), txns, {0: 0, 1: 1})
         sub = inst.restrict([0])
         assert sub.objects == (0,)
+
+    def _three(self):
+        txns = [
+            Transaction(0, 0, {0}),
+            Transaction(1, 1, {0, 1}),
+            Transaction(2, 2, {1}),
+        ]
+        return Instance(line(4), txns, {0: 0, 1: 2})
+
+    def test_empty_tid_list_rejected(self):
+        with pytest.raises(InstanceError, match="at least one transaction"):
+            self._three().restrict([])
+
+    def test_duplicate_tid_rejected(self):
+        with pytest.raises(InstanceError, match="duplicate transaction id 1"):
+            self._three().restrict([1, 2, 1])
+
+    def test_unknown_tid_raises_key_error(self):
+        with pytest.raises(KeyError):
+            self._three().restrict([0, 7])
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_position_outside_graph_rejected(self, node):
+        with pytest.raises(InstanceError, match=f"object 1 home {node} outside"):
+            self._three().restrict([1, 2], object_positions={1: node})
+
+    def test_positions_of_unkept_objects_are_not_checked(self):
+        sub = self._three().restrict([0], object_positions={1: 99})
+        assert sub.object_homes == {0: 0}

@@ -317,6 +317,21 @@ class TestSubmitValidation:
         with pytest.raises(SessionError, match="no schedule"):
             sess.current_schedule()
 
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    @pytest.mark.parametrize("home", [-1, 6, 99])
+    def test_home_outside_network_rejected_at_open(self, mode, home):
+        # -1 would index node 5's distances, 99 numpy's IndexError
+        with pytest.raises(
+            SessionError, match=rf"object 1 homed at node {home}, .* 0\.\.5"
+        ):
+            SchedulerSession(clique(6), mode=mode, object_homes={0: 0, 1: home})
+
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    def test_boundary_homes_accepted(self, mode):
+        sess = SchedulerSession(clique(6), mode=mode, object_homes={0: 0, 1: 5})
+        sess.submit([_txn(0, 1, [0]), _txn(1, 2, [1])])
+        assert sess.commit() == {0: 1, 1: 1}
+
 
 class TestSessionSemantics:
     def test_commit_times_match_schedule_read(self):
