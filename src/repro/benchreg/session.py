@@ -87,9 +87,7 @@ def _epoch_metrics(latencies: List[float], committed: int) -> Dict[str, Any]:
 def _run_incremental(net, homes, txns) -> Dict[str, Any]:
     from ..core.incremental import SchedulerSession
 
-    with SchedulerSession(
-        net, algo="greedy", mode="incremental", object_homes=homes
-    ) as sess:
+    with SchedulerSession(net, algo="greedy", object_homes=homes) as sess:
         sess.submit(txns[:WINDOW])
         sess.current_schedule()  # warm: first full coloring is untimed
         latencies: List[float] = []

@@ -15,7 +15,6 @@ from .incremental import (
     GREEDY_FAMILY,
     DistanceMemo,
     IncrementalConflictGraph,
-    IncrementalScheduler,
     SchedulerSession,
     open_session,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "GREEDY_FAMILY",
     "DistanceMemo",
     "IncrementalConflictGraph",
-    "IncrementalScheduler",
     "SchedulerSession",
     "open_session",
 ]

@@ -1,16 +1,11 @@
 """One-call scheduling facade and the scheduler capability registry.
 
-:func:`schedule` is the library's one-shot entry point: it opens a
-single-use :class:`~repro.core.incremental.SchedulerSession`, submits
-the whole instance, and reads the schedule back -- so the batch facade
-and the long-lived session API (:func:`repro.open_session`) are the same
-machinery observed at two cadences.  ``algo`` reads the network's
+:func:`schedule` is the library's one-shot entry point: it resolves the
+scheduler and runs it on the instance.  ``algo`` reads the network's
 :class:`~repro.network.graph.Topology` tag to pick the paper's scheduler
 (unknown families fall back to the generic greedy schedule, whose
-``O(k * ell * d)`` guarantee of §3.1 holds on any graph); ``mode``
-selects the per-call engine: ``"batch"`` (rebuild-and-color, the
-default) or ``"incremental"`` (delta repair -- identical output, see
-:mod:`repro.core.incremental`).
+``O(k * ell * d)`` guarantee of §3.1 holds on any graph).  For rolling
+workloads, hold a session open instead (:func:`repro.open_session`).
 
 :data:`SCHEDULER_INFO` mirrors the experiment registry's
 ``EXPERIMENT_INFO``: one :class:`SchedulerInfo` per algorithm with its
@@ -31,7 +26,6 @@ from ..network.registry import TOPOLOGY_INFO
 from .cluster import ClusterScheduler
 from .greedy import CliqueScheduler, DiameterScheduler, GreedyScheduler
 from .grid import GridScheduler
-from .incremental import IncrementalScheduler, SchedulerSession
 from .instance import Instance
 from .line import LineScheduler
 from .schedule import Schedule
@@ -136,27 +130,6 @@ SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
             frozenset({"rng"}),
             ShardedClusterScheduler,
         ),
-        SchedulerInfo(
-            "incremental",
-            (),
-            "Gamma + 1 (== greedy, §2.3), delta-maintained",
-            frozenset(),
-            IncrementalScheduler,
-        ),
-        SchedulerInfo(
-            "incremental-clique",
-            (),
-            "O(k): k * ell + 1 (Thm 1), delta-maintained",
-            frozenset(),
-            lambda **options: IncrementalScheduler(base="clique", **options),
-        ),
-        SchedulerInfo(
-            "incremental-diameter",
-            (),
-            "O(k d): k * ell * d + 1 (§3.1), delta-maintained",
-            frozenset(),
-            lambda **options: IncrementalScheduler(base="diameter", **options),
-        ),
     )
 }
 
@@ -198,17 +171,13 @@ def schedule(
     network=None,
     *,
     algo: str = "auto",
-    mode: str | None = None,
     rng: np.random.Generator | None = None,
     **options,
 ) -> Schedule:
     """Schedule ``instance`` with one call: ``repro.schedule(inst)``.
 
-    A thin wrapper over a one-shot
-    :class:`~repro.core.incremental.SchedulerSession`: the instance is
-    submitted in a single delta and the session's ``current_schedule()``
-    is returned.  For rolling workloads, hold the session open instead
-    (:func:`repro.open_session`).
+    Equivalent to ``resolve_scheduler(algo, topology=...,
+    **options).schedule(instance, rng)``.
 
     Parameters
     ----------
@@ -222,11 +191,6 @@ def schedule(
         ``"auto"`` (topology-appropriate paper scheduler, the default) or
         an explicit scheduler name -- any :data:`SCHEDULER_INFO` entry or
         registered baseline.
-    mode:
-        ``"batch"`` (rebuild-and-color, the default) or ``"incremental"``
-        (delta-repair engine; greedy family only).  Both modes produce
-        identical schedules; ``None`` infers ``"incremental"`` only when
-        ``algo`` names an incremental variant.
     rng:
         Randomness source for randomized schedulers.
     options:
@@ -238,27 +202,7 @@ def schedule(
             "schedule(): `network` must be the instance's own network; "
             "rebuild the Instance to schedule on a different topology"
         )
-    if mode is None:
-        mode = "incremental" if algo.startswith("incremental") else "batch"
-    if mode not in ("batch", "incremental"):
-        raise SchedulingError(
-            f"schedule(): unknown mode {mode!r}; "
-            "expected 'batch' or 'incremental'"
-        )
-    session_kwargs = {}
-    if mode == "incremental" or algo.startswith("incremental"):
-        if "rebuild_threshold" in options:
-            session_kwargs["rebuild_threshold"] = options.pop("rebuild_threshold")
-    homes = {obj: instance.home(obj) for obj in instance.objects}
-    with SchedulerSession(
-        instance.network,
-        algo=algo,
-        mode=mode,
-        object_homes=homes,
-        rng=rng,
-        options=options,
-        **session_kwargs,
-    ) as sess:
-        sess.submit(instance.transactions)
-        return sess.current_schedule(instance=instance)
-
+    scheduler = resolve_scheduler(
+        algo, topology=instance.network.topology.name, **options
+    )
+    return scheduler.schedule(instance, rng)

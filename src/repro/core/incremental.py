@@ -31,11 +31,13 @@ Public surface:
   ``commit`` / ``abort`` / ``current_schedule`` / ``snapshot``;
 * :func:`open_session` -- the facade constructor re-exported as
   ``repro.open_session(network)``;
-* :class:`IncrementalScheduler` -- a one-shot :class:`Scheduler`
-  adapter so ``schedule(inst, algo="incremental")`` and the
-  ``SCHEDULER_INFO`` listing work unchanged;
 * :class:`IncrementalConflictGraph` / :class:`DistanceMemo` -- the
   engine pieces, exposed for tests and benchmarks.
+
+One-shot scheduling never comes here: :func:`repro.schedule` and the
+service's fault-free windows call the scheduler directly.  Sessions are
+for rolling windows, where the engine carries state from one delta to
+the next.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ import numpy as np
 from ..errors import SessionError
 from ..obs.events import SessionDeltaEvent
 from ..obs.recorder import Recorder, active
-from .dependency import ArrayDependencyGraph
 from .instance import Instance
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 from .transaction import Transaction
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "DistanceMemo",
     "IncrementalConflictGraph",
     "SchedulerSession",
-    "IncrementalScheduler",
     "open_session",
 ]
 
@@ -68,13 +68,15 @@ __all__ = [
 #: different theorem bounds), so the mex fixpoint above applies.
 GREEDY_FAMILY: Tuple[str, ...] = ("greedy", "clique", "diameter")
 
-_MODES = ("auto", "batch", "incremental")
 _HOME_POLICIES = ("static", "follow")
 
 #: repair frontiers never fall back to a full recolor below this many
 #: examined vertices, whatever the threshold says -- tiny windows are
 #: cheaper to repair than to rebuild.
 _MIN_FRONTIER = 16
+#: fraction of the live window a repair frontier may examine before the
+#: engine recolors the whole window instead
+_REBUILD_THRESHOLD = 0.5
 
 
 class DistanceMemo:
@@ -96,18 +98,6 @@ class DistanceMemo:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    def dist(self, u: int, v: int) -> int:
-        """Memoized ``network.dist(u, v)``."""
-        key = (u, v) if u <= v else (v, u)
-        d = self._cache.get(key)
-        if d is None:
-            self.misses += 1
-            d = int(self.network.dist(u, v))
-            self._cache[key] = d
-        else:
-            self.hits += 1
-        return d
 
     def pair_distances(self, us: List[int], vs: List[int]) -> List[int]:
         """Memoized ``network.pair_distances`` gather (misses batched)."""
@@ -152,13 +142,8 @@ class IncrementalConflictGraph:
     batch greedy colouring of the live set in ascending-tid order.
     """
 
-    def __init__(self, network, *, rebuild_threshold: float = 0.5) -> None:
-        if not 0.0 < rebuild_threshold <= 1.0:
-            raise SessionError(
-                f"rebuild_threshold must be in (0, 1], got {rebuild_threshold!r}"
-            )
+    def __init__(self, network) -> None:
         self.memo = DistanceMemo(network)
-        self.rebuild_threshold = float(rebuild_threshold)
         self._txn: Dict[int, Transaction] = {}
         self._node_tid: Dict[int, int] = {}
         self._obj_users: Dict[int, Set[int]] = {}
@@ -176,7 +161,6 @@ class IncrementalConflictGraph:
         # shifts every colour at once, sets the all-dirty flag instead
         self._dirty_objs: Set[int] = set()
         self._all_dirty = True
-        self._graph_cache: Optional[ArrayDependencyGraph] = None
         self.repairs_examined = 0
         self.repairs_changed = 0
         self.full_rebuilds = 0
@@ -226,28 +210,6 @@ class IncrementalConflictGraph:
     def slots(self) -> Dict[int, int]:
         """``tid -> slot`` copy of the current colouring."""
         return dict(self._slot)
-
-    def graph(self) -> ArrayDependencyGraph:
-        """CSR view of the live conflict graph (cached until the next delta)."""
-        if self._graph_cache is None:
-            tids = sorted(self._adj)
-            pos = {t: i for i, t in enumerate(tids)}
-            indptr = np.zeros(len(tids) + 1, dtype=np.int64)
-            indices: List[int] = []
-            weights: List[int] = []
-            for i, t in enumerate(tids):
-                nbrs = self._adj[t]
-                for nbr in sorted(nbrs):
-                    indices.append(pos[nbr])
-                    weights.append(nbrs[nbr])
-                indptr[i + 1] = len(indices)
-            self._graph_cache = ArrayDependencyGraph(
-                np.asarray(tids, dtype=np.int64),
-                indptr,
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(weights, dtype=np.int64),
-            )
-        return self._graph_cache
 
     # ------------------------------------------------------------------ #
     # refcount maintenance
@@ -349,7 +311,6 @@ class IncrementalConflictGraph:
         # the new vertex's own slot depends only on smaller-tid
         # neighbours, none of whom a pure insertion can change
         self._set_slot(tid, self._mex(tid))
-        self._graph_cache = None
         return self._repair([u for u in nbr_list if u > tid])
 
     def remove(self, tid: int) -> Tuple[int, int, bool]:
@@ -382,7 +343,6 @@ class IncrementalConflictGraph:
         if self.h_max != h_before:
             self._all_dirty = True
         self._del_slot(tid)
-        self._graph_cache = None
         return self._repair([u for u in nbrs if u > tid])
 
     # ------------------------------------------------------------------ #
@@ -404,12 +364,12 @@ class IncrementalConflictGraph:
         when a vertex is examined every smaller-tid neighbour already
         holds its final slot and the vertex is settled in one mex
         computation; a change pushes only *larger*-tid neighbours.  If
-        the frontier exceeds ``max(16, threshold * live)`` examined
-        vertices, repairing is no longer cheaper than rebuilding and the
-        engine recolors the whole live window instead.
+        the frontier exceeds ``max(_MIN_FRONTIER, _REBUILD_THRESHOLD *
+        live)`` examined vertices, repairing is no longer cheaper than
+        rebuilding and the engine recolors the whole live window instead.
         """
         examined = changed = 0
-        limit = max(_MIN_FRONTIER, int(self.rebuild_threshold * len(self._txn)))
+        limit = max(_MIN_FRONTIER, int(_REBUILD_THRESHOLD * len(self._txn)))
         heap = sorted(set(dirty))
         queued = set(heap)
         while heap:
@@ -457,18 +417,17 @@ class SchedulerSession:
     arrivals with :meth:`submit`, retire them with :meth:`commit` (which
     returns their commit times) or :meth:`abort`, and read the full
     schedule of the live window with :meth:`current_schedule` at any
-    point.  In ``"incremental"`` mode (the default whenever the resolved
-    scheduler is in the greedy family) deltas repair the conflict graph
-    and colouring in place; in ``"batch"`` mode the session transparently
-    falls back to rebuilding with the topology's paper scheduler per
-    read, so every topology keeps its specialized algorithm and bound.
+    point.  The engine follows the resolved scheduler: the greedy family
+    gets the incremental engine, whose deltas repair the conflict graph
+    and colouring in place; every other scheduler is rebuilt from the
+    live window on each read, so every topology keeps its specialized
+    algorithm and bound.  :attr:`mode` reports which engine runs.
 
     Either way the schedule observed through the session is identical,
     field by field, to ``repro.schedule()`` on the equivalent static
     instance -- sessions change the *cost* of heavy traffic, never the
     result.  Sessions are also deliberately cheap to snapshot: state is
-    plain data (:meth:`snapshot`), which is what lets the service and
-    cluster checkpointing keep working unchanged.
+    plain data (:meth:`snapshot`).
     """
 
     def __init__(
@@ -476,20 +435,13 @@ class SchedulerSession:
         network,
         *,
         algo: str = "auto",
-        mode: str = "auto",
         object_homes: Optional[Dict[int, int]] = None,
         home_policy: str = "static",
-        rebuild_threshold: float = 0.5,
         rng: Optional[np.random.Generator] = None,
         recorder: Optional[Recorder] = None,
-        options: Optional[Dict[str, Any]] = None,
     ) -> None:
         from .dispatch import _TOPOLOGY_TO_ALGO, resolve_scheduler
 
-        if mode not in _MODES:
-            raise SessionError(
-                f"unknown session mode {mode!r}; expected one of {_MODES}"
-            )
         if home_policy not in _HOME_POLICIES:
             raise SessionError(
                 f"unknown home_policy {home_policy!r}; "
@@ -497,32 +449,9 @@ class SchedulerSession:
             )
         self.network = network
         self.home_policy = home_policy
-        base = algo
         if algo == "auto":
-            base = _TOPOLOGY_TO_ALGO.get(network.topology.name, "greedy")
-        elif algo.startswith("incremental"):
-            if mode == "batch":
-                raise SessionError(
-                    f"algo={algo!r} forces the incremental engine; "
-                    "it cannot run with mode='batch'"
-                )
-            mode = "incremental"
-            base = algo[len("incremental"):].lstrip("-") or "greedy"
-        if mode == "auto":
-            mode = "incremental" if base in GREEDY_FAMILY else "batch"
-        if mode == "incremental" and base not in GREEDY_FAMILY:
-            if algo == "auto":
-                # the generic greedy guarantee holds on any graph (§3.1)
-                base = "greedy"
-            else:
-                raise SessionError(
-                    f"scheduler {base!r} cannot run incrementally; the "
-                    f"incremental engine maintains the greedy-family "
-                    f"colouring only ({', '.join(GREEDY_FAMILY)}). "
-                    "Use mode='batch' (or mode='auto') to keep it."
-                )
-        self.mode = mode
-        self.algo = base
+            algo = _TOPOLOGY_TO_ALGO.get(network.topology.name, "greedy")
+        self.algo = algo
         self._homes: Dict[int, int] = {
             int(o): int(v) for o, v in (object_homes or {}).items()
         }
@@ -535,39 +464,28 @@ class SchedulerSession:
                 )
         self._rng = rng
         self._recorder = active(recorder)
-        self._options = dict(options or {})
         self._epoch = 0
         self._closed = False
         self._submitted = 0
         self._committed = 0
         self._aborted = 0
-        if mode == "incremental":
-            if self._options:
-                raise SessionError(
-                    "incremental sessions accept no extra scheduler "
-                    f"options, got {sorted(self._options)}"
-                )
-            self._engine: Optional[IncrementalConflictGraph] = (
-                IncrementalConflictGraph(
-                    network, rebuild_threshold=rebuild_threshold
-                )
-            )
-            self._scheduler: Optional[Scheduler] = None
-            self._active: Dict[int, Transaction] = {}
-            self._node_tid: Dict[int, int] = {}
+        self._engine: Optional[IncrementalConflictGraph] = None
+        self._scheduler: Optional[Scheduler] = None
+        if algo in GREEDY_FAMILY:
+            self._engine = IncrementalConflictGraph(network)
         else:
-            self._engine = None
-            self._scheduler = resolve_scheduler(
-                base,
-                topology=network.topology.name,
-                **self._options,
-            )
-            self._active = {}
-            self._node_tid = {}
+            self._scheduler = resolve_scheduler(algo)
+        self._active: Dict[int, Transaction] = {}
+        self._node_tid: Dict[int, int] = {}
         self._cached: Optional[Schedule] = None
         # per-object positioning needs, kept current lazily from the
-        # engine's dirty-object drain (incremental mode only)
+        # engine's dirty-object drain (incremental engine only)
         self._needs: Dict[int, int] = {}
+
+    @property
+    def mode(self) -> str:
+        """The engine in use: ``"incremental"`` or ``"batch"``."""
+        return "incremental" if self._engine is not None else "batch"
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -879,48 +797,29 @@ class SchedulerSession:
         homes = {obj: self._homes[obj] for obj in sorted(used)}
         return Instance._from_validated(self.network, txns, homes)
 
-    def _batch_schedule(self, instance: Optional[Instance] = None) -> Schedule:
+    def _batch_schedule(self) -> Schedule:
         if self._cached is None:
             assert self._scheduler is not None
-            inst = instance if instance is not None else self._build_instance()
-            self._cached = self._scheduler.schedule(inst, self._rng)
+            self._cached = self._scheduler.schedule(
+                self._build_instance(), self._rng
+            )
         return self._cached
 
-    def current_schedule(self, instance: Optional[Instance] = None) -> Schedule:
-        """The schedule of the live window, as the batch scheduler sees it.
-
-        Pass ``instance`` to bind the returned :class:`Schedule` to an
-        existing equivalent :class:`Instance` (the one-shot facade does
-        this); it must contain exactly the live transactions.
-        """
+    def current_schedule(self) -> Schedule:
+        """The schedule of the live window, as the batch scheduler sees it."""
         self._check_open()
         if self.active_count == 0:
             raise SessionError("empty session has no schedule")
-        if instance is not None:
-            have = [t.tid for t in instance.transactions]
-            if sorted(have) != self.active_ids():
-                raise SessionError(
-                    "current_schedule(instance=...): instance transactions "
-                    "do not match the session's live window"
-                )
         engine = self._engine
         if engine is None:
-            sched = self._batch_schedule(instance)
-            if instance is None or sched.instance is instance:
-                return sched
-            return Schedule(instance, dict(sched.commit_times), dict(sched.meta))
-        if instance is None:
-            instance = self._build_instance()
+            return self._batch_schedule()
         h = engine.h_max
         offset = self._positioning_offset()
         commits = {
             tid: engine._slot[tid] * h + 1 + offset for tid in engine.tids()
         }
-        name = (
-            "incremental" if self.algo == "greedy" else f"incremental-{self.algo}"
-        )
         meta = {
-            "scheduler": name,
+            "scheduler": self.algo,
             "colors_used": engine.colors_used,
             "h_max": h,
             "delta": engine.max_degree,
@@ -928,21 +827,7 @@ class SchedulerSession:
             "offset": offset,
             "engine": "incremental",
         }
-        return Schedule(instance, commits, meta)
-
-    def run_epoch(
-        self, txns: Iterable[Transaction]
-    ) -> Tuple[Dict[int, int], int]:
-        """Submit a window, commit everything live, return (times, makespan).
-
-        This is the service loop's per-window hook: equivalent to the
-        old per-window ``schedule()`` rebuild -- same commit times, same
-        makespan -- but served by the incremental engine when the
-        topology's scheduler allows it.
-        """
-        self.submit(txns)
-        times = self.commit()
-        return times, max(times.values())
+        return Schedule(self._build_instance(), commits, meta)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe summary of the session's state and lifetime counters."""
@@ -976,11 +861,11 @@ def open_session(
 ) -> SchedulerSession:
     """Open a :class:`SchedulerSession` on ``network``.
 
-    The session-first entry point: ``repro.open_session(net)`` then
+    The rolling-window entry point: ``repro.open_session(net)`` then
     ``submit`` / ``commit`` / ``current_schedule`` / ``snapshot``.  See
-    :class:`SchedulerSession` for the keyword surface (``mode``,
-    ``object_homes``, ``home_policy``, ``rebuild_threshold``, ``rng``,
-    ``recorder``).  Usable as a context manager::
+    :class:`SchedulerSession` for the keyword surface (``object_homes``,
+    ``home_policy``, ``rng``, ``recorder``).  Usable as a context
+    manager::
 
         with repro.open_session(net, object_homes=homes) as sess:
             sess.submit(txns)
@@ -988,42 +873,3 @@ def open_session(
             sess.commit()
     """
     return SchedulerSession(network, algo=algo, **kwargs)
-
-
-@register("incremental")
-class IncrementalScheduler(Scheduler):
-    """One-shot adapter: run a whole instance through a session.
-
-    Makes the incremental engine a drop-in :class:`Scheduler`, so
-    ``schedule(inst, algo="incremental")`` (and the ``incremental-clique``
-    / ``incremental-diameter`` listings) work through the ordinary
-    facade.  ``base`` picks which greedy-family bound the schedule
-    claims; the colouring is identical across the family.
-    """
-
-    def __init__(
-        self, base: str = "greedy", rebuild_threshold: float = 0.5
-    ) -> None:
-        if base not in GREEDY_FAMILY:
-            raise SessionError(
-                f"IncrementalScheduler base must be one of {GREEDY_FAMILY}, "
-                f"got {base!r}"
-            )
-        self.base = base
-        self.rebuild_threshold = rebuild_threshold
-        self.name = "incremental" if base == "greedy" else f"incremental-{base}"
-
-    def schedule(
-        self, instance: Instance, rng: np.random.Generator | None = None
-    ) -> Schedule:
-        homes = {obj: instance.home(obj) for obj in instance.objects}
-        with SchedulerSession(
-            instance.network,
-            algo=self.base,
-            mode="incremental",
-            object_homes=homes,
-            rebuild_threshold=self.rebuild_threshold,
-            rng=rng,
-        ) as sess:
-            sess.submit(instance.transactions)
-            return sess.current_schedule(instance=instance)

@@ -74,9 +74,8 @@ class SessionError(SchedulingError):
     reject at construction -- two live transactions on one node, a
     duplicate live tid, an object without a home -- plus session-specific
     misuse: committing or aborting a transaction that is not live,
-    reading the schedule of an empty session, operating on a closed
-    session, or requesting the incremental engine for a scheduler
-    outside the greedy family.
+    reading the schedule of an empty session, or operating on a closed
+    session.
     """
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.scheduler import available_schedulers
 from ..errors import ServiceError
 from ..faults.backoff import RetryPolicy
 
@@ -66,8 +67,10 @@ class ServiceConfig:
         backlog drains; ``"strict"`` raises
         :class:`~repro.errors.SaturationError`.
     algo:
-        Forwarded to the scheduler session of the batch engine (the
-        engine of a service without a fault plan).
+        The scheduler the batch engine (the engine of a service without
+        a fault plan) runs on each window: ``"auto"`` picks the paper's
+        scheduler for the stream's topology, any other name must be one
+        :func:`~repro.core.dispatch.resolve_scheduler` knows.
     """
 
     window: int = 16
@@ -127,6 +130,11 @@ class ServiceConfig:
             raise ServiceError(
                 f"unknown saturation policy {self.on_saturation!r}; choose "
                 f"from {_SATURATION_POLICIES}"
+            )
+        if self.algo != "auto" and self.algo not in available_schedulers():
+            raise ServiceError(
+                f"unknown scheduler {self.algo!r}; choose 'auto' or one of "
+                f"{available_schedulers()}"
             )
 
     @property

@@ -8,13 +8,10 @@ the priority-ordered backlog (window-based greedy contention management
 per Sharma/Estrade/Busch, arXiv:1002.4182) and executed by one of two
 engines, chosen by whether a fault plan is attached:
 
-* **batch** (no plan) -- the window is fed through a long-lived
-  :class:`~repro.core.incremental.SchedulerSession`
-  (``submit`` the batch, ``commit`` it back), so greedy-family
-  topologies get the delta-repair engine with distances memoized across
-  windows while every other topology transparently keeps its paper
-  scheduler -- commit times are bit-identical to the old per-window
-  :func:`repro.schedule` rebuild either way;
+* **batch** (no plan) -- each window's batch is one independent
+  instance of the offline problem: the topology's scheduler, resolved
+  once when the service is built, schedules it and the whole batch
+  commits;
 * **reactive** (a plan, even the empty ``FaultPlan()``) -- the window
   runs through the fault-aware :func:`~repro.online.run_resilient`
   runtime, consuming the plan's slice for that span live (hop retries,
@@ -49,7 +46,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.incremental import SchedulerSession
+from ..core.dispatch import resolve_scheduler
+from ..core.instance import Instance
+from ..core.scheduler import Scheduler
 from ..errors import (
     DeadlineExpiredError,
     FaultError,
@@ -120,7 +119,7 @@ class SchedulingService:
         Optional live :class:`~repro.faults.plan.FaultPlan` on the
         service's global clock.  Attaching one (``FaultPlan()`` for a
         fault-free run) selects the reactive engine; without one the
-        batch engine runs.
+        batch engine runs ``config.algo`` once per window.
     rng:
         Randomness for randomized batch schedulers (cluster/star);
         defaults to a fixed-seed generator so the service is
@@ -145,20 +144,10 @@ class SchedulingService:
             plan.validate_against(stream.network)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._rec = active(recorder)
-        # the batch engine drives a long-lived scheduler session instead
-        # of rebuilding per window: greedy-family topologies get the
-        # delta-repair engine (identical schedules, memoized distances),
-        # other topologies transparently keep their paper scheduler
-        self._session: SchedulerSession | None = None
+        self._scheduler: Scheduler | None = None
         if self.engine == "batch":
-            self._session = SchedulerSession(
-                stream.network,
-                algo=self.config.algo,
-                mode="auto",
-                object_homes=dict(stream.object_homes),
-                home_policy="static",
-                rng=self._rng,
-                recorder=recorder,
+            self._scheduler = resolve_scheduler(
+                self.config.algo, topology=stream.network.topology.name
             )
         self.detector = SaturationDetector(
             horizon=self.config.detector_horizon,
@@ -441,8 +430,11 @@ class SchedulingService:
     def _homes_for(self, batch: List[_Entry]) -> Dict[int, int]:
         needed: set[int] = set()
         for e in batch:
-            needed |= set(e.txn.objects)
-        return {o: self.stream.object_homes[o] for o in sorted(needed)}
+            needed.update(e.txn.objects)
+        homes = self.stream.object_homes
+        # an unhomed object is left out, so the Instance built from the
+        # batch rejects it by name (InstanceError) on either engine
+        return {o: homes[o] for o in sorted(needed) if o in homes}
 
     def _execute_batch(
         self, batch: List[_Entry], exec_start: int, window_index: int
@@ -450,14 +442,17 @@ class SchedulingService:
         """Run one window's batch; commits, losses, and busy accounting."""
         by_tid = {e.txn.tid: e for e in batch}
         if self.engine == "batch":
-            assert self._session is not None
-            times, makespan = self._session.run_epoch(
-                [e.txn for e in batch]
+            assert self._scheduler is not None
+            instance = Instance(
+                self.stream.network,
+                [by_tid[tid].txn for tid in sorted(by_tid)],
+                self._homes_for(batch),
             )
-            for tid, ct in sorted(times.items()):
+            sched = self._scheduler.schedule(instance, self._rng)
+            for tid, ct in sorted(sched.commit_times.items()):
                 self._record_commit(by_tid[tid], exec_start + ct)
-            self._busy_until = exec_start + makespan
-            self._busy += makespan
+            self._busy_until = exec_start + sched.makespan
+            self._busy += sched.makespan
             return
         # reactive: live fault consumption via run_resilient
         crashes = self._mark_crashes(exec_start + self.config.window)

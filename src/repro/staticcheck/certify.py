@@ -283,13 +283,6 @@ def _check_theorem_bound(
 ) -> CheckResult:
     inst = schedule.instance
     name = str(schedule.meta.get("scheduler", ""))
-    # Incrementally-maintained schedules carry the same guarantee as the
-    # base greedy-family scheduler they converge to (the session repair
-    # fixpoint equals the batch colouring): certify under the base name.
-    if name == "incremental":
-        name = "greedy"
-    elif name.startswith("incremental-"):
-        name = name[len("incremental-"):]
     makespan = schedule.makespan
     offset_meta = schedule.meta.get("offset")
     offset = (

@@ -122,7 +122,7 @@ class TestScheduleFacade:
 
     def test_kernel_typo_fails_fast(self):
         # the kernel switch is gone: any kernel= is an unknown scheduler
-        # option, rejected when the session opens, before any work
+        # option, rejected when the scheduler is built, before any work
         import repro
 
         net = clique(4)
@@ -183,51 +183,39 @@ class TestSchedulerInfo:
             assert hasattr(sched, "schedule")
 
 
-class TestIncrementalDispatch:
-    """mode= on the facade and the incremental registry entries."""
+class TestOneShotPath:
+    """schedule() is the resolved scheduler, with no session in between."""
 
-    def test_incremental_variants_registered(self):
+    @pytest.mark.parametrize(
+        "net,cls", CASES, ids=[n.topology.name for n, _ in CASES]
+    )
+    def test_schedule_is_the_resolved_scheduler(self, net, cls):
+        inst = random_k_subsets(
+            net, w=max(2, net.n // 2), k=2, rng=np.random.default_rng(12)
+        )
+        got = schedule(inst, rng=np.random.default_rng(13))
+        want = resolve_scheduler(topology=net.topology.name).schedule(
+            inst, np.random.default_rng(13)
+        )
+        assert got.instance is inst
+        assert got.commit_times == want.commit_times
+        assert got.meta == want.meta
+
+    def test_incremental_names_are_gone(self):
         from repro.core import SCHEDULER_INFO
 
+        assert len(SCHEDULER_INFO) == 9
         for name in ("incremental", "incremental-clique",
                      "incremental-diameter"):
-            info = SCHEDULER_INFO[name]
-            assert info.topologies == ()
-            sched = info.make()
-            assert sched.name == name
-
-    def test_incremental_algo_matches_greedy(self):
-        net = grid(4)
-        rng = np.random.default_rng(12)
-        inst = random_k_subsets(net, w=8, k=2, rng=rng)
-        batch = schedule(inst, algo="greedy")
-        inc = schedule(inst, algo="incremental")
-        assert inc.commit_times == batch.commit_times
-        assert inc.meta["engine"] == "incremental"
-        for key in ("colors_used", "h_max", "delta", "gamma", "offset"):
-            assert inc.meta[key] == batch.meta[key]
-
-    def test_mode_incremental_on_plain_algo(self):
-        net = clique(6)
-        rng = np.random.default_rng(13)
-        inst = random_k_subsets(net, w=5, k=2, rng=rng)
-        batch = schedule(inst, algo="clique")
-        inc = schedule(inst, algo="clique", mode="incremental")
-        assert inc.commit_times == batch.commit_times
-
-    def test_incremental_algo_with_batch_mode_contradicts(self):
-        from repro.errors import SessionError
-
-        net = clique(4)
-        rng = np.random.default_rng(14)
-        inst = random_k_subsets(net, w=3, k=2, rng=rng)
-        with pytest.raises(SessionError, match="mode"):
-            schedule(inst, algo="incremental", mode="batch")
+            assert name not in SCHEDULER_INFO
+            with pytest.raises(SchedulingError, match="unknown scheduler"):
+                resolve_scheduler(name)
 
     def test_unknown_mode_rejected(self):
-        net = clique(4)
-        rng = np.random.default_rng(15)
-        inst = random_k_subsets(net, w=3, k=2, rng=rng)
-        with pytest.raises(SchedulingError, match="mode"):
+        # schedule() has no mode keyword: any mode= reaches the
+        # scheduler's constructor as an unknown option
+        inst = random_k_subsets(
+            clique(4), w=3, k=2, rng=np.random.default_rng(15)
+        )
+        with pytest.raises(TypeError, match="mode"):
             schedule(inst, mode="turbo")
-

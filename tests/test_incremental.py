@@ -1,28 +1,36 @@
 """Unit tests for the incremental engine and the session API."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import incremental
 from repro.core.dependency import DependencyGraph
+from repro.core.dispatch import schedule
 from repro.core.greedy import GreedyScheduler
 from repro.core.incremental import (
     GREEDY_FAMILY,
     DistanceMemo,
     IncrementalConflictGraph,
-    IncrementalScheduler,
     SchedulerSession,
     open_session,
 )
 from repro.core.instance import Instance
 from repro.core.transaction import Transaction
-from repro.errors import SessionError
-from repro.network import clique, grid, line
+from repro.errors import SchedulingError, SessionError
+from repro.network import clique, grid, hypercube, line, torus
 from repro.obs import MemoryRecorder
 from repro.workloads import random_k_subsets
 
 
 def _txn(tid, node, objs):
     return Transaction(tid, node, objs)
+
+
+#: a six-node network per session engine: the clique's scheduler is in
+#: the greedy family, the line's is not
+_SIX_NODES = {"incremental": lambda: clique(6), "batch": lambda: line(6)}
 
 
 def _homes(n_objects, net, seed=0):
@@ -37,8 +45,8 @@ class TestDistanceMemo:
     def test_dist_memoizes_symmetrically(self):
         net = grid(4)
         memo = DistanceMemo(net)
-        d1 = memo.dist(0, 5)
-        d2 = memo.dist(5, 0)
+        (d1,) = memo.pair_distances([0], [5])
+        (d2,) = memo.pair_distances([5], [0])
         assert d1 == d2 == int(net.dist(0, 5))
         assert memo.misses == 1
         assert memo.hits == 1
@@ -59,13 +67,13 @@ class TestDistanceMemo:
 
     def test_stats_shape(self):
         memo = DistanceMemo(grid(3))
-        memo.dist(0, 1)
+        memo.pair_distances([0], [1])
         assert memo.stats() == {"hits": 0, "misses": 1, "size": 1}
 
 
 class TestIncrementalConflictGraph:
-    def _build(self, net, txns, threshold=0.5):
-        g = IncrementalConflictGraph(net, rebuild_threshold=threshold)
+    def _build(self, net, txns):
+        g = IncrementalConflictGraph(net)
         for t in txns:
             g.add(t)
         return g
@@ -140,7 +148,7 @@ class TestIncrementalConflictGraph:
     def test_cascading_recolor(self):
         # a chain of conflicts: removing the head must ripple through
         net = line(8)
-        g = IncrementalConflictGraph(net, rebuild_threshold=1.0)
+        g = IncrementalConflictGraph(net)
         for i in range(6):
             # consecutive txns share an object -> path conflict graph
             g.add(_txn(i, i, [i, i + 1]))
@@ -151,20 +159,30 @@ class TestIncrementalConflictGraph:
         assert changed >= 1  # tid 1 drops to slot 0, cascade follows
         assert g._slot[1] == 0
 
-    def test_full_rebuild_fallback_triggers(self):
-        net = clique(24)
-        # threshold so low any cascade exceeds the frontier on a big set
-        g = IncrementalConflictGraph(net, rebuild_threshold=0.001)
-        for i in range(20):
-            g.add(_txn(i, i, [0]))  # a clique in the conflict graph
-        assert g.full_rebuilds == 0 or g.full_rebuilds > 0  # built up
-        base = g.full_rebuilds
+    @staticmethod
+    def _remove_clique_head():
+        # txns 0..19 share object 0 (a clique in the conflict graph) and
+        # txns 20..59 one object each: removing tid 0 re-slots 19 of the
+        # 59 live vertices, more than _MIN_FRONTIER, less than half
+        g = IncrementalConflictGraph(clique(64))
+        for i in range(60):
+            g.add(_txn(i, i, [0] if i < 20 else [i]))
+        # ascending-tid inserts have no larger-tid neighbour to repair
+        assert g.full_rebuilds == 0
         _, _, rebuilt = g.remove(0)
+        # either way the coloring is still the batch fixpoint
+        clique_part = [t for t in sorted(g._txn) if t < 20]
+        assert [g._slot[t] for t in clique_part] == list(range(19))
+        return g, rebuilt
+
+    def test_full_rebuild_fallback_triggers(self):
+        g, rebuilt = self._remove_clique_head()
+        assert not rebuilt
+        assert g.full_rebuilds == 0
+        with mock.patch.object(incremental, "_REBUILD_THRESHOLD", 0.001):
+            g, rebuilt = self._remove_clique_head()
         assert rebuilt
-        assert g.full_rebuilds == base + 1
-        # and the coloring is still the batch fixpoint
-        live = sorted(g._txn)
-        assert [g._slot[t] for t in live] == list(range(len(live)))
+        assert g.full_rebuilds == 1
 
     def test_h_max_shrinks_when_heaviest_edge_leaves(self):
         net = line(10)
@@ -177,30 +195,24 @@ class TestIncrementalConflictGraph:
         g.remove(1)
         assert g.h_max == 1
 
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(SessionError, match="rebuild_threshold"):
-            IncrementalConflictGraph(grid(3), rebuild_threshold=0.0)
-        with pytest.raises(SessionError, match="rebuild_threshold"):
-            IncrementalConflictGraph(grid(3), rebuild_threshold=1.5)
-
-    def test_csr_graph_view_matches_batch(self):
-        rng = np.random.default_rng(6)
-        inst = random_k_subsets(clique(8), w=10, k=2, rng=rng)
-        g = self._build(inst.network, inst.transactions)
-        ref = DependencyGraph.build(inst)
-        view = g.graph()
-        assert sorted(view.vertices()) == sorted(t.tid for t in inst.transactions)
-        assert view.h_max == ref.h_max
-        assert view.max_degree == ref.max_degree
 
 
 class TestSessionLifecycle:
     def test_greedy_family_defaults_to_incremental(self):
-        for topo, net in (("clique", clique(6)), ("hypercube", grid(4))):
-            sess = SchedulerSession(clique(6), object_homes=_homes(8, clique(6)))
+        for net, algo in (
+            (clique(6), "clique"),
+            (hypercube(3), "diameter"),
+            (torus(3, 3), "diameter"),
+        ):
+            sess = SchedulerSession(net, object_homes=_homes(8, net))
             assert sess.mode == "incremental"
+            assert sess.algo == algo
             assert sess.algo in GREEDY_FAMILY
             sess.close()
+
+    def test_explicit_greedy_algo_on_any_topology_is_incremental(self):
+        sess = SchedulerSession(grid(4), algo="greedy")
+        assert (sess.mode, sess.algo) == ("incremental", "greedy")
 
     def test_non_greedy_topology_falls_back_to_batch(self):
         net = grid(4)
@@ -209,36 +221,23 @@ class TestSessionLifecycle:
         assert sess.algo == "grid"
         sess.close()
 
-    def test_incremental_mode_on_non_family_algo_rejected(self):
-        net = grid(4)
-        with pytest.raises(SessionError, match="incremental"):
-            SchedulerSession(
-                net, algo="grid", mode="incremental",
-                object_homes=_homes(8, net),
-            )
-
-    def test_incremental_algo_with_batch_mode_rejected(self):
-        net = clique(6)
-        with pytest.raises(SessionError, match="mode"):
-            SchedulerSession(
-                net, algo="incremental", mode="batch",
-                object_homes=_homes(8, net),
-            )
-
-    def test_incremental_rejects_scheduler_options(self):
-        net = clique(6)
-        with pytest.raises(SessionError, match="options"):
-            SchedulerSession(
-                net, mode="incremental", object_homes=_homes(8, net),
-                options={"order": "degree"},
-            )
+    def test_mode_is_a_read_only_report(self):
+        sess = SchedulerSession(clique(6))
+        with pytest.raises(AttributeError):
+            sess.mode = "batch"
 
     def test_unknown_mode_and_home_policy_rejected(self):
+        # the engine follows the algo; no mode keyword selects it
         net = clique(6)
-        with pytest.raises(SessionError, match="mode"):
+        with pytest.raises(TypeError, match="mode"):
             SchedulerSession(net, mode="sideways")
         with pytest.raises(SessionError, match="home_policy"):
             SchedulerSession(net, home_policy="wander")
+
+    def test_unknown_algo_rejected_at_open(self):
+        for algo in ("incremental", "nope"):
+            with pytest.raises(SchedulingError, match="unknown scheduler"):
+                SchedulerSession(clique(6), algo=algo)
 
     def test_closed_session_rejects_everything(self):
         net = clique(6)
@@ -324,13 +323,20 @@ class TestSubmitValidation:
         with pytest.raises(
             SessionError, match=rf"object 1 homed at node {home}, .* 0\.\.5"
         ):
-            SchedulerSession(clique(6), mode=mode, object_homes={0: 0, 1: home})
+            SchedulerSession(
+                _SIX_NODES[mode](), object_homes={0: 0, 1: home}
+            )
 
     @pytest.mark.parametrize("mode", ["incremental", "batch"])
     def test_boundary_homes_accepted(self, mode):
-        sess = SchedulerSession(clique(6), mode=mode, object_homes={0: 0, 1: 5})
-        sess.submit([_txn(0, 1, [0]), _txn(1, 2, [1])])
-        assert sess.commit() == {0: 1, 1: 1}
+        net = _SIX_NODES[mode]()
+        homes = {0: 0, 1: 5}
+        txns = [_txn(0, 1, [0]), _txn(1, 2, [1])]
+        sess = SchedulerSession(net, object_homes=homes)
+        assert sess.mode == mode
+        sess.submit(txns)
+        want = schedule(Instance(net, txns, homes)).commit_times
+        assert sess.commit() == want
 
 
 class TestSessionSemantics:
@@ -347,15 +353,14 @@ class TestSessionSemantics:
         times = sess.commit([0, 1, 2])
         assert times == {t: sched.commit_times[t] for t in (0, 1, 2)}
 
-    def test_run_epoch_matches_batch_schedule(self):
+    def test_commit_all_matches_batch_schedule(self):
         net = clique(12)
         rng = np.random.default_rng(9)
         inst = random_k_subsets(net, w=10, k=2, rng=rng)
         sess = open_session(net, object_homes=dict(inst.object_homes))
-        times, makespan = sess.run_epoch(inst.transactions)
-        batch = GreedyScheduler().schedule(inst)
-        assert times == batch.commit_times
-        assert makespan == batch.makespan
+        sess.submit(inst.transactions)
+        times = sess.commit()
+        assert times == GreedyScheduler().schedule(inst).commit_times
         assert sess.active_count == 0
 
     def test_follow_home_policy_moves_objects(self):
@@ -439,12 +444,19 @@ class TestSessionSemantics:
 
 
 class TestIncrementalScheduler:
+    """Schedules read from the incremental engine name their algo."""
+
     def test_one_shot_matches_greedy(self):
         rng = np.random.default_rng(11)
         inst = random_k_subsets(clique(10), w=8, k=2, rng=rng)
-        inc = IncrementalScheduler().schedule(inst)
+        sess = open_session(
+            inst.network, algo="greedy", object_homes=dict(inst.object_homes)
+        )
+        sess.submit(inst.transactions)
+        inc = sess.current_schedule()
         ref = GreedyScheduler().schedule(inst)
         assert inc.commit_times == ref.commit_times
+        assert inc.meta["scheduler"] == "greedy"
         assert inc.meta["engine"] == "incremental"
         inc.validate()
 
@@ -452,9 +464,13 @@ class TestIncrementalScheduler:
         rng = np.random.default_rng(12)
         inst = random_k_subsets(clique(10), w=8, k=2, rng=rng)
         for base in ("clique", "diameter"):
-            sched = IncrementalScheduler(base=base)
-            assert sched.name == f"incremental-{base}"
-            s = sched.schedule(inst)
+            sess = open_session(
+                inst.network, algo=base, object_homes=dict(inst.object_homes)
+            )
+            sess.submit(inst.transactions)
+            s = sess.current_schedule()
+            assert s.meta["scheduler"] == base
+            assert s.meta["engine"] == "incremental"
             s.validate()
 
     def test_certify_accepts_incremental_schedules(self):
@@ -462,7 +478,11 @@ class TestIncrementalScheduler:
 
         rng = np.random.default_rng(13)
         inst = random_k_subsets(grid(4), w=10, k=2, rng=rng)
-        cert = certify_schedule(IncrementalScheduler().schedule(inst))
+        sess = open_session(
+            inst.network, algo="greedy", object_homes=dict(inst.object_homes)
+        )
+        sess.submit(inst.transactions)
+        cert = certify_schedule(sess.current_schedule())
         tb = [c for c in cert.checks if c.name == "theorem_bound"][0]
         assert tb.passed
         assert "Gamma" in tb.detail

@@ -17,8 +17,12 @@ import pytest
 
 from online_oracle import run_online
 
+from repro.core.dispatch import resolve_scheduler
+from repro.core.instance import Instance
+from repro.core.transaction import Transaction
 from repro.errors import (
     DeadlineExpiredError,
+    InstanceError,
     OverloadError,
     SaturationError,
     ServiceError,
@@ -32,7 +36,8 @@ from repro.faults.plan import (
     ObjectStall,
     random_fault_plan,
 )
-from repro.network import clique, grid, line
+from repro.network import TOPOLOGY_INFO, clique, grid, line
+from repro.network.registry import network_from_sizes
 from repro.obs import MemoryRecorder
 from repro.online.arrivals import OnlineWorkload
 from repro.service import (
@@ -77,6 +82,20 @@ class _BurstOnceStream(ArrivalStream):
         return (0,)
 
 
+class _UnhomedObjectStream(PoissonStream):
+    """Poisson arrivals that also use object 10000, which has no home."""
+
+    def _draw_objects(self):
+        return super()._draw_objects() + (10000,)
+
+
+class _OffNetworkStream(PoissonStream):
+    """Poisson arrivals pinned to node 12, outside a grid(3)."""
+
+    def _draw_node(self):
+        return 12
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ServiceConfig()
@@ -100,11 +119,17 @@ class TestConfig:
             {"min_backlog": 0},
             {"on_saturation": "panic"},
             {"low_water": -1},
+            {"algo": "incremental"},
+            {"algo": "nope"},
         ],
     )
     def test_bad_config_raises(self, kw):
         with pytest.raises(ServiceError):
             ServiceConfig(**kw)
+
+    def test_known_algos_accepted(self):
+        for algo in ("auto", "greedy", "grid", "sequential"):
+            assert ServiceConfig(algo=algo).algo == algo
 
     def test_auto_engine_picks_by_plan(self):
         assert SchedulingService(_stream(grid(3), 0.3)).engine == "batch"
@@ -367,6 +392,75 @@ class TestFaults:
                 for c in crashes
             ]
             assert got == tuple(want)
+
+
+#: one small size per topology family (see ``network_from_sizes``)
+_FAMILY_SIZES = {
+    "clique": 8, "line": 8, "grid": 3, "cluster": 2, "hypercube": 3,
+    "butterfly": 2, "star": 2, "torus": 3, "ddim-grid": 3, "lb-grid": 4,
+    "lb-tree": 4, "shard-cluster": 2, "fog-hierarchy": 2,
+}
+
+
+class TestBatchEngine:
+    """The fault-free engine runs the topology scheduler once per window."""
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_INFO))
+    def test_windows_equal_the_topology_scheduler(self, family):
+        net = network_from_sizes(family, _FAMILY_SIZES[family])
+        window = 4
+        stream = _stream(net, 0.8, limit=24, key=family, w=6)
+        rng = np.random.default_rng(5)
+        rec = MemoryRecorder()
+        svc = SchedulingService(stream, ServiceConfig(window=window),
+                                rng=rng, recorder=rec)
+        ref = resolve_scheduler(topology=family)
+        ref_rng = np.random.default_rng(5)
+        busy_until = seen = index = windows_with_commits = 0
+        while not (stream.exhausted and svc.queue_length == 0):
+            svc.run_window(index)
+            commits = [e for e in rec.events[seen:] if e.kind == "commit"]
+            seen = len(rec.events)
+            exec_start = max((index + 1) * window, busy_until)
+            index += 1
+            if not commits:
+                continue
+            windows_with_commits += 1
+            txns = sorted(
+                (Transaction(e.tid, e.node, e.objects) for e in commits),
+                key=lambda t: t.tid,
+            )
+            used = sorted({o for t in txns for o in t.objects})
+            homes = {o: stream.object_homes[o] for o in used}
+            want = ref.schedule(Instance(net, txns, homes), ref_rng)
+            assert {e.tid: e.time - exec_start for e in commits} == (
+                want.commit_times
+            )
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            busy_until = exec_start + want.makespan
+        rep = svc.report()
+        assert rep.committed == rep.released == 24
+        assert windows_with_commits >= 2
+
+
+class TestStreamInputErrors:
+    """Bad stream transactions fail typed, naming the culprit."""
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["batch", "reactive"])
+    def test_unhomed_object_is_named(self, plan):
+        stream = _UnhomedObjectStream(grid(3), w=6, k=2, rate=0.5,
+                                      rng=spawn(11, "unhomed"))
+        with pytest.raises(InstanceError, match="object 10000"):
+            run_service(stream, windows=4, plan=plan)
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["batch", "reactive"])
+    def test_node_outside_network_is_named(self, plan):
+        stream = _OffNetworkStream(grid(3), w=6, k=2, rate=0.5,
+                                   rng=spawn(11, "off-network"))
+        with pytest.raises(InstanceError, match="node 12 outside"):
+            run_service(stream, windows=4, plan=plan)
 
 
 class TestRunOnlineParity:

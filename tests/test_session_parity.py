@@ -21,14 +21,17 @@ takes the full-recolor fallback.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import incremental
 from repro.core.dispatch import resolve_scheduler
 from repro.core.greedy import GreedyScheduler
-from repro.core.incremental import SchedulerSession, open_session
+from repro.core.incremental import open_session
 from repro.core.instance import Instance
 from repro.core.transaction import Transaction
 from repro.network import clique, cluster, grid, line, star
@@ -148,16 +151,24 @@ class TestGreedyFamilyParity:
         """A tiny threshold forces the recolor-all path; parity must hold."""
         net = clique(8)
         rng = np.random.default_rng(seed)
-        sess = open_session(
-            net,
-            algo="greedy",
-            object_homes=_homes_for(net, rng, 4),
-            rebuild_threshold=0.001,
-        )
         ref = GreedyScheduler()
-        _replay(sess, ops, rng, 4, check=lambda s: _assert_matches_batch(s, ref))
-        if sess.active_count:
-            assert sess.stats["full_rebuilds"] >= 0
+        # with no frontier floor, a tiny threshold sends every repair
+        # that examines a vertex to the full recolor
+        with mock.patch.object(incremental, "_REBUILD_THRESHOLD", 0.001), \
+                mock.patch.object(incremental, "_MIN_FRONTIER", 0):
+            sess = open_session(
+                net, algo="greedy", object_homes=_homes_for(net, rng, 4)
+            )
+            # a conflicting pair whose head commits: one repair, rebuilt
+            sess.submit([Transaction(0, 0, [0]), Transaction(1, 1, [0])])
+            sess.commit([0])
+            _assert_matches_batch(sess, ref)
+            sess.commit()
+            _replay(sess, ops, rng, 4,
+                    check=lambda s: _assert_matches_batch(s, ref))
+        stats = sess.stats
+        assert stats["full_rebuilds"] > 0
+        assert stats["full_rebuilds"] == stats["repairs_examined"]
 
 
 class TestBatchFallbackParity:
@@ -247,17 +258,15 @@ class TestRepairFrontierEdgeCases:
         _assert_matches_batch(sess, GreedyScheduler())
 
     def test_threshold_one_never_falls_back(self):
-        net = clique(8)
-        rng = np.random.default_rng(3)
-        sess = open_session(
-            net,
-            algo="greedy",
-            object_homes=_homes_for(net, rng, 4),
-            rebuild_threshold=1.0,
-        )
-        _replay(sess, ["submit", "commit", "submit", "abort", "submit"], rng, 4)
-        if sess.active_count:
-            _assert_matches_batch(sess, GreedyScheduler())
+        # no frontier floor: the threshold alone sets the fallback limit,
+        # and a frontier never examines more vertices than are live
+        with mock.patch.object(incremental, "_REBUILD_THRESHOLD", 1.0), \
+                mock.patch.object(incremental, "_MIN_FRONTIER", 0):
+            sess = self._chain_session()
+            sess.commit([0])
+        assert sess.stats["repairs_examined"] > 0
+        assert sess.stats["full_rebuilds"] == 0
+        _assert_matches_batch(sess, GreedyScheduler())
 
 
 class TestDiameterVariantParity:
