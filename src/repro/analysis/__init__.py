@@ -3,7 +3,6 @@
 from .metrics import Evaluation, evaluate
 from .report import (
     REPORT_KINDS,
-    REPORT_SCHEMA_VERSION,
     Report,
     register_report,
     report_from_json,
@@ -21,7 +20,6 @@ __all__ = [
     "Table",
     "Report",
     "REPORT_KINDS",
-    "REPORT_SCHEMA_VERSION",
     "register_report",
     "report_to_json",
     "report_from_json",

@@ -10,25 +10,24 @@ each one's quirks.  This module unifies them behind a structural
 
 * ``as_dict()`` -- flat plain-data summary for table rendering,
 * ``to_json()`` -- a *full-fidelity* JSON envelope
-  (``{"schema_version", "kind", "report": {...}}``),
+  (``{"schema_version", "kind", "body": {...}}``),
 * ``from_json()`` -- classmethod inverse of ``to_json``.
 
 Kinds are registered with the :func:`register_report` class decorator;
 :func:`report_from_json` dispatches an envelope of any registered kind
 back to the right class, so callers can round-trip a report without
-knowing its concrete type.
+knowing its concrete type.  The envelope is :mod:`repro.io.serialize`'s,
+imported inside the functions to avoid an import cycle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Callable, Dict, Protocol, TypeVar, runtime_checkable
 
 from ..errors import ReproError
 
 __all__ = [
-    "REPORT_SCHEMA_VERSION",
     "REPORT_KINDS",
     "Report",
     "register_report",
@@ -36,8 +35,6 @@ __all__ = [
     "report_payload",
     "report_from_json",
 ]
-
-REPORT_SCHEMA_VERSION = 1
 
 #: kind -> report class; populated by :func:`register_report`.
 REPORT_KINDS: Dict[str, type] = {}
@@ -88,58 +85,46 @@ class Report(Protocol):
 def report_to_json(report: Any) -> str:
     """Serialize ``report`` into the versioned JSON envelope.
 
-    The payload is ``dataclasses.asdict`` of the full field set (tuples
-    become JSON arrays), wrapped with ``schema_version`` and ``kind`` so
+    The body is ``dataclasses.asdict`` of the full field set (tuples
+    become JSON arrays) under the report's registered kind, so
     :func:`report_from_json` can dispatch it back.  Keys are sorted and
     the text is stable across runs.
     """
+    from ..io.serialize import dumps_canonical, json_payload
+
     kind = getattr(report, "report_kind", None)
     if kind is None or REPORT_KINDS.get(kind) is not type(report):
         raise ReproError(
             f"{type(report).__name__} is not a registered report class"
         )
-    envelope = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": kind,
-        "report": dataclasses.asdict(report),
-    }
-    return json.dumps(envelope, indent=2, sort_keys=True)
+    return dumps_canonical(json_payload(kind, dataclasses.asdict(report)))
+
+
+def _decode_report(
+    text: str, expected_kind: str | None = None
+) -> tuple[str, Dict[str, Any]]:
+    from ..io.serialize import decode_envelope
+
+    kind, body = decode_envelope(text, expected_kind, label="report")
+    if kind not in REPORT_KINDS:
+        raise ReproError(f"unknown report kind {kind!r}")
+    return kind, body
 
 
 def report_payload(text: str, expected_kind: str | None = None) -> Dict[str, Any]:
-    """Parse an envelope, validate it, and return the payload dict.
+    """Decode a report envelope and return its body.
 
-    Raises :class:`ReproError` on a malformed envelope, an unsupported
-    schema version, an unknown kind, or (when ``expected_kind`` is
-    given) a kind mismatch.
+    Raises :class:`ReproError` on anything
+    :func:`~repro.io.serialize.decode_envelope` rejects and on an
+    unregistered kind.
     """
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"malformed report JSON: {exc}") from exc
-    if not isinstance(envelope, dict) or "report" not in envelope:
-        raise ReproError("report envelope missing 'report' payload")
-    version = envelope.get("schema_version")
-    if version != REPORT_SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported report schema_version {version!r} "
-            f"(expected {REPORT_SCHEMA_VERSION})"
-        )
-    kind = envelope.get("kind")
-    if kind not in REPORT_KINDS:
-        raise ReproError(f"unknown report kind {kind!r}")
-    if expected_kind is not None and kind != expected_kind:
-        raise ReproError(
-            f"expected report kind {expected_kind!r}, got {kind!r}"
-        )
-    return dict(envelope["report"])
+    return _decode_report(text, expected_kind)[1]
 
 
 def report_from_json(text: str) -> Any:
     """Deserialize any registered report kind from its JSON envelope."""
     _ensure_kinds_registered()
-    report_payload(text)  # full envelope validation; raises on problems
-    kind = json.loads(text)["kind"]
+    kind, _ = _decode_report(text)
     return REPORT_KINDS[kind].from_json(text)
 
 
@@ -147,6 +132,7 @@ def _ensure_kinds_registered() -> None:
     """Import the modules that define report classes (idempotent)."""
     from . import metrics  # noqa: F401
     from ..cluster import report as _cluster_report  # noqa: F401
+    from ..experiments import sweep as _sweep_report  # noqa: F401
     from ..faults import report as _faults_report  # noqa: F401
     from ..online import report as _online_report  # noqa: F401
     from ..service import report as _service_report  # noqa: F401

@@ -160,7 +160,6 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_session(args) -> int:
-    import json
     import time
 
     import numpy as np
@@ -239,8 +238,9 @@ def _cmd_session(args) -> int:
         f"misses={stats.get('memo_misses', 0)}"
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+        from .io import write_json
+
+        write_json(args.json, "session_summary", summary)
         print(f"session summary written to {args.json}")
     return 0
 
@@ -520,7 +520,9 @@ def _cmd_sweep(args) -> int:
         f"{dt:.1f}s wall]"
     )
     if args.json:
-        Path(args.json).write_text(report.to_json())
+        from .io import save_report
+
+        save_report(report, args.json)
         print(f"sweep report written to {args.json}")
     return 0
 

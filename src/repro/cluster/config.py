@@ -67,9 +67,6 @@ class ClusterConfig:
         work as shed, and spawns a replacement worker owning the class
         from the stall window onward; ``"strict"`` raises
         :class:`~repro.errors.HeartbeatTimeoutError`.
-    verify_replay:
-        Verify each replayed window's accounting digest against the
-        journal (determinism self-check); disable only for benchmarks.
     journal_dir:
         Directory for journals/checkpoints; ``None`` uses a fresh
         temporary directory removed after the run.
@@ -83,7 +80,6 @@ class ClusterConfig:
     checkpoint_every: int = 8
     on_crash: str = "restart"
     on_straggler: str = "restart"
-    verify_replay: bool = True
     journal_dir: Optional[str] = None
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_retries=3, max_wait=4)

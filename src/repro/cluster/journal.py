@@ -23,10 +23,12 @@ un-journaled window.  The cluster therefore commits exactly the same
 transaction set with or without the crash.
 
 Both files use the standard versioned JSON envelopes
-(:func:`repro.io.serialize.json_payload`); a torn tail record from a
-crash mid-append is dropped by :func:`repro.io.serialize.read_jsonl`,
-which is precisely write-ahead semantics: the window either journaled
-completely or never happened.
+(:func:`repro.io.serialize.json_payload`).  A torn final journal line
+from a crash mid-append is dropped by
+:func:`repro.io.serialize.read_jsonl` (the window either journaled
+completely or never happened) and cut off the file by
+:meth:`WindowJournal.load`, so the next append starts a fresh line; any
+other unreadable line raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class WindowJournal:
     ) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
         """Read ``(checkpoint_body | None, journal records past it)``.
 
+        Only the owning worker calls this, on recovery: it first cuts a
+        torn (unterminated) final line off the file.
+
         Records are returned sorted by window, de-duplicated (replays
         re-verify rather than re-append, but a crash between append and
         send may leave the same window journaled once -- never twice with
@@ -128,6 +133,10 @@ class WindowJournal:
             ckpt = read_json(self.checkpoint_path, CHECKPOINT_KIND)
         records: List[Dict[str, Any]] = []
         if self.journal_path.exists():
+            with open(self.journal_path, "r+b") as fh:
+                data = fh.read()
+                if not data.endswith(b"\n"):
+                    fh.truncate(data.rfind(b"\n") + 1)
             records = read_jsonl(self.journal_path, JOURNAL_KIND)
         by_window: Dict[int, Dict[str, Any]] = {}
         for rec in records:

@@ -135,7 +135,6 @@ class _Supervisor:
             journal_path=str(journal_dir / f"worker-{worker}.journal.jsonl"),
             checkpoint_path=str(journal_dir / f"worker-{worker}.ckpt.json"),
             checkpoint_every=self.config.checkpoint_every,
-            verify_replay=self.config.verify_replay,
             chaos=self.chaos.for_worker(worker),
         )
 

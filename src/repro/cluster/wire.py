@@ -5,9 +5,10 @@ cell's result (:mod:`repro.experiments.sweep`) or a cluster worker's
 heartbeat, window result, and final report (:mod:`repro.cluster`) --
 is a single-line JSON document in the standard
 ``{"schema_version", "kind", "body"}`` envelope from
-:func:`repro.io.serialize.json_payload`.  Centralizing the build/parse
-pair here means there is exactly one wire schema, tested once, instead
-of each multiprocess subsystem growing its own framing quirks.
+:func:`repro.io.serialize.json_payload`, read by
+:func:`repro.io.serialize.decode_envelope`.  This module adds only the
+one-line framing and the kinds a pipe may carry, so there is exactly
+one wire schema, tested once.
 
 Messages are strings (not pickled objects) on purpose: the payload is
 inspectable in journals and logs, a version bump is an explicit schema
@@ -18,11 +19,10 @@ unpickling traceback.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Tuple
 
-from ..errors import ClusterError
-from ..io.serialize import SCHEMA_VERSION, dumps_line, json_payload
+from ..errors import ClusterError, ReproError
+from ..io.serialize import decode_envelope, dumps_line, json_payload
 
 __all__ = [
     "CELL_KIND",
@@ -65,33 +65,16 @@ def decode_message(
 ) -> Tuple[str, Dict[str, Any]]:
     """Parse and validate one wire message; returns ``(kind, body)``.
 
-    Raises :class:`~repro.errors.ClusterError` on malformed JSON, an
-    unsupported ``schema_version``, an unknown kind, a missing body, or
-    (when ``expected_kind`` is given) a kind mismatch.
+    Raises :class:`~repro.errors.ClusterError` on anything
+    :func:`~repro.io.serialize.decode_envelope` rejects and on a kind
+    not in :data:`WIRE_KINDS`.
     """
     try:
-        payload = json.loads(text)
-    except (TypeError, json.JSONDecodeError) as exc:
-        raise ClusterError(f"malformed wire message: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ClusterError(
-            f"wire message must be a JSON object, got {type(payload).__name__}"
-        )
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ClusterError(
-            f"unsupported wire schema_version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    kind = payload.get("kind")
+        kind, body = decode_envelope(text, expected_kind, label="wire")
+    except ReproError as exc:
+        raise ClusterError(str(exc)) from exc
     if kind not in WIRE_KINDS:
         raise ClusterError(
             f"unknown wire kind {kind!r}; choose from {WIRE_KINDS}"
         )
-    if expected_kind is not None and kind != expected_kind:
-        raise ClusterError(
-            f"expected wire kind {expected_kind!r}, got {kind!r}"
-        )
-    if "body" not in payload:
-        raise ClusterError(f"wire message of kind {kind!r} missing 'body'")
-    return kind, payload["body"]
+    return kind, body

@@ -68,7 +68,6 @@ class WorkerSpec:
     journal_path: str
     checkpoint_path: str
     checkpoint_every: int
-    verify_replay: bool = True
     chaos: Tuple[ChaosEvent, ...] = field(default_factory=tuple)
 
     def build_service(self) -> SchedulingService:
@@ -101,9 +100,9 @@ def _recover(
     """Restore checkpoint, replay journaled windows, verify digests.
 
     Returns the number of windows replayed (journal tail length).  The
-    replay re-executes each journaled window deterministically; under
-    ``verify_replay`` a digest mismatch means the rebuild diverged from
-    the incarnation that journaled it -- a determinism bug -- and raises
+    replay re-executes each journaled window deterministically; a digest
+    mismatch means the rebuild diverged from the incarnation that
+    journaled it -- a determinism bug -- and raises
     :class:`~repro.errors.ClusterError` rather than silently forking
     history.
     """
@@ -120,14 +119,13 @@ def _recover(
                 f"{service.windows_run}, found {window}"
             )
         service.run_window(window)
-        if spec.verify_replay:
-            digest = accounting_digest(_accounting(service))
-            if digest != rec["digest"]:
-                raise ClusterError(
-                    f"worker {spec.worker}: replay of window {window} "
-                    f"diverged from the journal (digest {digest} != "
-                    f"{rec['digest']}); deterministic recovery is broken"
-                )
+        digest = accounting_digest(_accounting(service))
+        if digest != rec["digest"]:
+            raise ClusterError(
+                f"worker {spec.worker}: replay of window {window} "
+                f"diverged from the journal (digest {digest} != "
+                f"{rec['digest']}); deterministic recovery is broken"
+            )
     return len(tail)
 
 

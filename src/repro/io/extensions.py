@@ -2,19 +2,18 @@
 
 Round trips for replicated (read/write) instances and online workloads,
 mirroring :mod:`repro.io.serialize`'s conventions: plain-data dicts,
-revalidation on load, topology metadata preserved.
+revalidation on load, topology metadata preserved, and files in the
+standard envelope (kinds ``"rw_instance"`` and ``"online_workload"``).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict
 
-from ..errors import ReproError
 from ..online.arrivals import OnlineWorkload, TimedTransaction
 from ..replication.model import ReplicatedInstance, RWTransaction
-from .serialize import _FORMAT_VERSION, network_from_dict, network_to_dict
+from .serialize import network_from_dict, network_to_dict, read_json, write_json
 
 __all__ = [
     "rw_instance_to_dict",
@@ -31,7 +30,6 @@ __all__ = [
 def rw_instance_to_dict(inst: ReplicatedInstance) -> Dict[str, Any]:
     """Plain-data form of a replicated (read/write) instance."""
     return {
-        "version": _FORMAT_VERSION,
         "network": network_to_dict(inst.network),
         "transactions": [
             {
@@ -60,7 +58,6 @@ def rw_instance_from_dict(data: Dict[str, Any]) -> ReplicatedInstance:
 def online_workload_to_dict(wl: OnlineWorkload) -> Dict[str, Any]:
     """Plain-data form of an online workload (releases + accesses)."""
     return {
-        "version": _FORMAT_VERSION,
         "network": network_to_dict(wl.network),
         "arrivals": [
             {
@@ -92,32 +89,21 @@ def online_workload_from_dict(data: Dict[str, Any]) -> OnlineWorkload:
     return OnlineWorkload(net, arrivals, homes)
 
 
-def _save(path: str | Path, payload: Dict[str, Any]) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _load(path: str | Path) -> Dict[str, Any]:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot load {path}: {exc}") from exc
-
-
 def save_rw_instance(inst: ReplicatedInstance, path: str | Path) -> None:
     """Write a replicated instance to a JSON file."""
-    _save(path, rw_instance_to_dict(inst))
+    write_json(path, "rw_instance", rw_instance_to_dict(inst))
 
 
 def load_rw_instance(path: str | Path) -> ReplicatedInstance:
     """Read a replicated instance from a JSON file."""
-    return rw_instance_from_dict(_load(path))
+    return rw_instance_from_dict(read_json(path, "rw_instance"))
 
 
 def save_online_workload(wl: OnlineWorkload, path: str | Path) -> None:
     """Write an online workload to a JSON file."""
-    _save(path, online_workload_to_dict(wl))
+    write_json(path, "online_workload", online_workload_to_dict(wl))
 
 
 def load_online_workload(path: str | Path) -> OnlineWorkload:
     """Read an online workload from a JSON file."""
-    return online_workload_from_dict(_load(path))
+    return online_workload_from_dict(read_json(path, "online_workload"))

@@ -5,6 +5,10 @@ e.g. to pin a benchmark workload, ship a counterexample, or archive an
 experiment's exact inputs.  Round trips are loss-free and covered by
 property tests; topology metadata survives, so a deserialized instance
 dispatches to the same scheduler.
+
+Every file, journal record, report and wire message the package writes
+is the envelope :func:`json_payload` builds, and :func:`decode_envelope`
+is the one reader that checks it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "json_payload",
     "dumps_canonical",
     "dumps_line",
+    "decode_envelope",
     "write_json",
     "read_json",
     "append_jsonl",
@@ -54,8 +59,6 @@ __all__ = [
     "save_report",
     "load_report",
 ]
-
-_FORMAT_VERSION = 1
 
 #: version stamped on every JSON document the package writes
 SCHEMA_VERSION = 1
@@ -81,12 +84,66 @@ def dumps_line(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def decode_envelope(
+    text: str, expected_kind: str | None = None, label: str | None = None
+) -> tuple[str, Dict[str, Any]]:
+    """Parse one enveloped JSON document; returns ``(kind, body)``.
+
+    Raises :class:`ReproError` unless ``text`` is a JSON object with
+    ``schema_version`` :data:`SCHEMA_VERSION`, a string ``kind`` (equal
+    to ``expected_kind`` when given) and an object ``body``.  ``label``
+    names the input in messages (``"wire"``, ``"report"``).
+    """
+    noun = f"{label} " if label else ""
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise ReproError(f"malformed {noun}JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ReproError(
+            f"{noun}envelope must be a JSON object, got "
+            f"{type(payload).__name__}"
+        )
+    version = payload.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ReproError(
+            f"unsupported {noun}schema_version {version!r} "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    kind = payload.get("kind")
+    if not isinstance(kind, str):
+        raise ReproError(f"{noun}envelope kind must be a string, got {kind!r}")
+    if expected_kind is not None and kind != expected_kind:
+        raise ReproError(
+            f"expected {noun}kind {expected_kind!r}, got {kind!r}"
+        )
+    body = payload.get("body")
+    if not isinstance(body, dict):
+        raise ReproError(f"{noun}envelope of kind {kind!r} missing 'body' object")
+    return kind, body
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot load {path}: {exc}") from exc
+
+
+def _read_body(where: str, text: str, expected_kind: str | None) -> Dict[str, Any]:
+    """:func:`decode_envelope`'s body, with ``where`` prefixed to errors."""
+    try:
+        return decode_envelope(text, expected_kind)[1]
+    except ReproError as exc:
+        raise ReproError(f"{where}: {exc}") from exc
+
+
 def append_jsonl(path: str | Path, kind: str, body: Dict[str, Any]) -> None:
     """Append one enveloped record to a JSON-lines file.
 
-    Each line is a complete ``schema_version``/``kind`` envelope; the
-    write is a single ``O_APPEND`` call so concurrent readers never see
-    a torn record.  This is the cluster journal's write-ahead format.
+    Each line is a complete envelope ending in a newline, written with
+    one ``O_APPEND`` call; a crash can still tear it, leaving an
+    unterminated line.  This is the cluster journal's write-ahead format.
     """
     line = dumps_line(json_payload(kind, body)) + "\n"
     with open(path, "a", encoding="utf-8") as fh:
@@ -99,39 +156,18 @@ def read_jsonl(
 ) -> list[Dict[str, Any]]:
     """Read every record body from a JSON-lines file of envelopes.
 
-    A trailing partial line (a write cut short by a crash) is dropped
-    silently -- write-ahead semantics: a record either committed fully
-    or does not exist.  Raises :class:`ReproError` on an unreadable
-    file, an unsupported ``schema_version``, or (when ``expected_kind``
-    is given) a kind mismatch on any complete record.
+    A record counts only once its line ends in a newline, so an
+    unterminated final line (an append cut short by a crash) is dropped:
+    write-ahead semantics.  Blank lines are skipped; any other line that
+    :func:`decode_envelope` rejects raises :class:`ReproError` naming
+    ``path:line``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ReproError(f"cannot load {path}: {exc}") from exc
-    bodies: list[Dict[str, Any]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            # torn tail record from a mid-append crash: ignore and stop
-            break
-        version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ReproError(
-                f"{path}:{lineno}: unsupported schema_version {version!r} "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        kind = payload.get("kind")
-        if expected_kind is not None and kind != expected_kind:
-            raise ReproError(
-                f"{path}:{lineno}: expected kind {expected_kind!r}, "
-                f"got {kind!r}"
-            )
-        bodies.append(payload["body"])
-    return bodies
+    *lines, _unterminated = _read_text(path).split("\n")
+    return [
+        _read_body(f"{path}:{lineno}", line, expected_kind)
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
 
 
 def write_json(path: str | Path, kind: str, body: Dict[str, Any]) -> None:
@@ -142,25 +178,10 @@ def write_json(path: str | Path, kind: str, body: Dict[str, Any]) -> None:
 def read_json(path: str | Path, expected_kind: str | None = None) -> Dict[str, Any]:
     """Read an enveloped JSON document and return its body.
 
-    Raises :class:`ReproError` on an unreadable file, a missing or
-    unsupported ``schema_version``, or (when ``expected_kind`` is given)
-    a kind mismatch.
+    Raises :class:`ReproError` naming ``path`` on an unreadable file or
+    an envelope :func:`decode_envelope` rejects.
     """
-    payload = _load(path)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ReproError(
-            f"{path}: unsupported schema_version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    kind = payload.get("kind")
-    if expected_kind is not None and kind != expected_kind:
-        raise ReproError(
-            f"{path}: expected kind {expected_kind!r}, got {kind!r}"
-        )
-    if "body" not in payload:
-        raise ReproError(f"{path}: envelope missing 'body'")
-    return payload["body"]
+    return _read_body(str(path), _read_text(path), expected_kind)
 
 
 def _jsonable_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -186,7 +207,6 @@ def _tupled_params(params: Dict[str, Any]) -> Dict[str, Any]:
 def network_to_dict(net: Network) -> Dict[str, Any]:
     """Plain-data form of a network."""
     return {
-        "version": _FORMAT_VERSION,
         "n": net.n,
         "edges": [[u, v, w] for u, v, w in net.edges()],
         "topology": {
@@ -209,7 +229,6 @@ def network_from_dict(data: Dict[str, Any]) -> Network:
 def instance_to_dict(inst: Instance) -> Dict[str, Any]:
     """Plain-data form of an instance (network included)."""
     return {
-        "version": _FORMAT_VERSION,
         "network": network_to_dict(inst.network),
         "transactions": [
             {"tid": t.tid, "node": t.node, "objects": sorted(t.objects)}
@@ -237,7 +256,6 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
         if isinstance(v, (str, int, float, bool, list, tuple)) or v is None
     }
     return {
-        "version": _FORMAT_VERSION,
         "instance": instance_to_dict(schedule.instance),
         "commit_times": {str(t): c for t, c in schedule.commit_times.items()},
         "meta": _jsonable_params(meta),
@@ -280,7 +298,7 @@ def fault_plan_to_json(plan: FaultPlan) -> Dict[str, Any]:
             rec.update(u=e.u, v=e.v, start=e.start, end=e.end,
                        factor=e.factor)
         events.append(rec)
-    return {"version": _FORMAT_VERSION, "events": events}
+    return {"events": events}
 
 
 def fault_plan_from_json(
@@ -306,47 +324,36 @@ def fault_plan_from_json(
     return FaultPlan(events, network=network)
 
 
-def _save(path: str | Path, payload: Dict[str, Any]) -> None:
-    Path(path).write_text(dumps_canonical(payload))
-
-
-def _load(path: str | Path) -> Dict[str, Any]:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot load {path}: {exc}") from exc
-
-
 def save_instance(inst: Instance, path: str | Path) -> None:
     """Write an instance to a JSON file."""
-    _save(path, instance_to_dict(inst))
+    write_json(path, "instance", instance_to_dict(inst))
 
 
 def load_instance(path: str | Path) -> Instance:
     """Read an instance from a JSON file."""
-    return instance_from_dict(_load(path))
+    return instance_from_dict(read_json(path, "instance"))
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write a schedule (with its instance) to a JSON file."""
-    _save(path, schedule_to_dict(schedule))
+    write_json(path, "schedule", schedule_to_dict(schedule))
 
 
 def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule from a JSON file."""
-    return schedule_from_dict(_load(path))
+    return schedule_from_dict(read_json(path, "schedule"))
 
 
 def save_fault_plan(plan: FaultPlan, path: str | Path) -> None:
     """Write a fault plan to a JSON file."""
-    _save(path, fault_plan_to_json(plan))
+    write_json(path, "fault_plan", fault_plan_to_json(plan))
 
 
 def load_fault_plan(
     path: str | Path, network: Network | None = None
 ) -> FaultPlan:
     """Read a fault plan from a JSON file (validated against ``network``)."""
-    return fault_plan_from_json(_load(path), network=network)
+    return fault_plan_from_json(read_json(path, "fault_plan"), network=network)
 
 
 def save_certificate(cert, path: str | Path) -> None:
@@ -390,8 +397,4 @@ def load_report(path: str | Path):
     """
     from ..analysis.report import report_from_json
 
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ReproError(f"cannot load {path}: {exc}") from exc
-    return report_from_json(text)
+    return report_from_json(_read_text(path))

@@ -425,6 +425,81 @@ class TestJournal:
             assert recovered[key] == clean[key]
 
 
+def _run_worker(directory, windows, checkpoint_every):
+    """One in-process worker incarnation; returns its done-message body."""
+    directory.mkdir(exist_ok=True)
+    conn = _Conn()
+    worker_main(conn, WorkerSpec(
+        worker=0, shards=1, owned_from={0: 0}, topology="grid",
+        size=3, size2=None, stream=STREAM, service=SVC,
+        windows=windows, start_window=0,
+        journal_path=str(directory / "w.journal.jsonl"),
+        checkpoint_path=str(directory / "w.ckpt.json"),
+        checkpoint_every=checkpoint_every,
+    ))
+    kind, body = decode_message(conn.sent[-1])
+    assert kind == MSG_DONE
+    return body
+
+
+class TestCrashPoints:
+    """A crash may cut any write short; recovery loses no committed window."""
+
+    def test_torn_append_at_every_offset_hides_no_later_window(self, tmp_path):
+        probe = WindowJournal(tmp_path / "p.jsonl", tmp_path / "p.ckpt")
+        probe.append(3, "d3", {"released": 3})
+        record = (tmp_path / "p.jsonl").read_bytes()
+        path = tmp_path / "w.jsonl"
+        j = WindowJournal(path, tmp_path / "w.ckpt")
+        for w in range(3):
+            j.append(w, f"d{w}", {"released": w})
+        committed = path.read_bytes()
+        for offset in range(len(record)):
+            path.write_bytes(committed + record[:offset])
+            assert [r["window"] for r in j.load()[1]] == [0, 1, 2]
+            assert path.read_bytes() == committed  # torn line cut off
+            for w in range(3, 6):
+                j.append(w, f"d{w}", {"released": w})
+            assert [r["window"] for r in j.load()[1]] == list(range(6))
+
+    @pytest.mark.parametrize("kept", ["all but the newline", "half", "one byte"])
+    def test_torn_append_recovers_worker_bit_for_bit(self, tmp_path, kept):
+        # no checkpoint in the run: recovery replays the whole journal
+        clean = _run_worker(tmp_path / "clean", 10, checkpoint_every=100)
+        crashed = tmp_path / "crashed"
+        _run_worker(crashed, 6, checkpoint_every=100)
+        journal = crashed / "w.journal.jsonl"
+        data = journal.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1  # window 5's record
+        size = len(data) - start
+        cut = {"all but the newline": size - 1, "half": size // 2,
+               "one byte": 1}[kept]
+        journal.write_bytes(data[:start + cut])
+        first = _run_worker(crashed, 8, checkpoint_every=100)
+        second = _run_worker(crashed, 10, checkpoint_every=100)
+        assert (first["replayed"], second["replayed"]) == (5, 8)
+        for key in ("report", "sojourns", "accounting"):
+            assert second[key] == clean[key]
+
+    def test_torn_checkpoint_temp_keeps_the_intact_checkpoint(self, tmp_path):
+        j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
+        for w in range(10):
+            j.append(w, f"d{w}", {"released": w})
+        j.checkpoint(4, {"stream": {"clock": 32}})
+        probe = WindowJournal(tmp_path / "p.jsonl", tmp_path / "p.ckpt")
+        probe.checkpoint(8, {"stream": {"clock": 64}})
+        doc = (tmp_path / "p.ckpt").read_bytes()
+        tmp = (tmp_path / "w.ckpt").with_suffix(".tmp")
+        # every offset, and the whole temp file written but never renamed
+        for offset in range(len(doc) + 1):
+            tmp.write_bytes(doc[:offset])
+            ckpt, tail = j.load()
+            assert ckpt == {"window": 4, "state": {"stream": {"clock": 32}}}
+            assert [r["window"] for r in tail] == list(range(4, 10))
+        j.checkpoint(8, {"stream": {"clock": 64}})
+        assert j.load()[0]["window"] == 8
+
+
 class TestClusterConfig:
     @pytest.mark.parametrize(
         "kw",
@@ -655,7 +730,7 @@ class TestClusterReport:
         # report JSON written before the cross_shard field lacks the key
         rep = run_cluster("grid", 3, None, STREAM, SVC, quick_config())
         envelope = json.loads(rep.to_json())
-        del envelope["report"]["cross_shard"]
+        del envelope["body"]["cross_shard"]
         back = ClusterReport.from_json(json.dumps(envelope))
         assert back.cross_shard == 0
         assert back.released == rep.released

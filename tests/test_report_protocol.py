@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import (
     REPORT_KINDS,
-    REPORT_SCHEMA_VERSION,
     Evaluation,
     Report,
     evaluate,
@@ -15,6 +14,7 @@ from repro.analysis import (
 )
 from repro.core import GreedyScheduler
 from repro.errors import ReproError
+from repro.io import SCHEMA_VERSION
 from repro.network import clique
 from repro.workloads import random_k_subsets
 
@@ -91,21 +91,21 @@ class TestDispatch:
 
     def test_envelope_shape(self):
         doc = json.loads(_evaluation().to_json())
-        assert doc["schema_version"] == REPORT_SCHEMA_VERSION
+        assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["kind"] == "evaluation"
-        assert "report" in doc
+        assert "body" in doc
 
     def test_unknown_kind_raises(self):
         bad = json.dumps(
-            {"schema_version": REPORT_SCHEMA_VERSION, "kind": "nope",
-             "report": {}}
+            {"schema_version": SCHEMA_VERSION, "kind": "nope",
+             "body": {}}
         )
         with pytest.raises(ReproError, match="unknown report kind"):
             report_from_json(bad)
 
     def test_wrong_schema_version_raises(self):
         bad = json.dumps(
-            {"schema_version": 99, "kind": "evaluation", "report": {}}
+            {"schema_version": 99, "kind": "evaluation", "body": {}}
         )
         with pytest.raises(ReproError, match="schema_version"):
             report_from_json(bad)
