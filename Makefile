@@ -10,17 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# static gate: the stdlib AST lint always runs; ruff and mypy run when
-# installed (CI installs both; local trees without them still get the
-# determinism lint and skip the rest)
+# static gate: the stdlib AST lint always runs; ruff and mypy --strict
+# run when installed and are skipped otherwise (CI installs both)
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint src/repro
-	@if command -v ruff >/dev/null 2>&1; then ruff check src/repro; \
-	else echo "ruff not installed; skipping"; fi
-	@if command -v mypy >/dev/null 2>&1; then \
-	mypy --strict src/repro/errors.py src/repro/faults/report.py \
-	src/repro/online/report.py src/repro/staticcheck; \
-	else echo "mypy not installed; skipping"; fi
+	PYTHONPATH=src $(PYTHON) -m repro lint src/repro --gate
 
 # the tier-1 gate run by .github/workflows/ci.yml: fail fast, no
 # install step needed (PYTHONPATH picks up the source tree directly);

@@ -52,8 +52,6 @@ from .core import (
     SchedulerInfo,
     SchedulerSession,
     Transaction,
-    available_schedulers,
-    get_scheduler,
     open_session,
     resolve_scheduler,
 )
@@ -97,7 +95,5 @@ __all__ = [
     "TopologyInfo",
     "TOPOLOGY_INFO",
     "make_network",
-    "get_scheduler",
-    "available_schedulers",
     "__version__",
 ]

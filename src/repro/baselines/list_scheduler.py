@@ -27,7 +27,7 @@ import numpy as np
 from ..bounds.walks import nearest_neighbor_path, two_opt_path
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from ..core.scheduler import Scheduler, register
+from ..core.scheduler import Scheduler
 
 __all__ = [
     "ListScheduler",
@@ -76,16 +76,18 @@ class ListScheduler(Scheduler):
         return Schedule(instance, commits, meta)
 
 
-@register("sequential")
 class SequentialScheduler(ListScheduler):
     """One commit per step, id order: the global-serialization baseline."""
+
+    name = "sequential"
 
     serialize = True
 
 
-@register("random-order")
 class RandomOrderScheduler(ListScheduler):
     """List scheduling with a uniformly random priority order."""
+
+    name = "random-order"
 
     def priority(
         self, instance: Instance, rng: np.random.Generator | None
@@ -96,7 +98,6 @@ class RandomOrderScheduler(ListScheduler):
         return [int(x) for x in rng.permutation(tids)]
 
 
-@register("tsp-order")
 class TSPOrderScheduler(ListScheduler):
     """Prioritize by position on the hottest object's heuristic TSP walk.
 
@@ -105,6 +106,8 @@ class TSPOrderScheduler(ListScheduler):
     keep id order after the walk's members.  This mimics schedulers that
     chase the communication-cost (TSP) objective.
     """
+
+    name = "tsp-order"
 
     def priority(
         self, instance: Instance, rng: np.random.Generator | None

@@ -9,7 +9,7 @@ Subcommands::
     repro-dtm trace summarize e1.json              # digest a saved trace
     repro-dtm trace export e1.json --csv e1.csv
     repro-dtm schedule --topology clique --size 32 --objects 16 --k 2
-    repro-dtm schedulers             # list schedulers, bounds, capabilities
+    repro-dtm schedulers             # list schedulers, bounds, routed families
     repro-dtm figures                # regenerate the paper's figures (ASCII)
     repro-dtm validate sched.json    # check a saved schedule end to end
     repro-dtm lint src/repro         # static determinism/invariant lint
@@ -529,12 +529,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_schedulers(args) -> int:
     from .core import SCHEDULER_INFO
+    from .network import TOPOLOGY_INFO
 
     for info in SCHEDULER_INFO.values():
-        topos = ",".join(info.topologies) or "-"
-        caps = ",".join(sorted(info.capabilities)) or "-"
-        print(f"{info.name:9s} topo={topos:38s} caps={caps}")
-        print(f"{'':9s} bound: {info.bound}")
+        topos = ",".join(
+            f.name for f in TOPOLOGY_INFO.values()
+            if f.default_algo == info.name
+        ) or "-"
+        print(f"{info.name:15s} auto for: {topos}")
+        print(f"{'':15s} bound: {info.bound}")
     return 0
 
 
@@ -547,8 +550,7 @@ def _cmd_topologies(args) -> int:
             for p in info.params
         )
         print(
-            f"{info.name:14s} algo={info.default_algo:9s} "
-            f"bound={info.bound_kind:9s} params=({params})"
+            f"{info.name:14s} algo={info.default_algo:9s} params=({params})"
         )
         print(f"{'':14s} {info.doc}")
     return 0
@@ -767,7 +769,8 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_list = sub.add_parser(
-        "schedulers", help="list the paper's schedulers and their bounds"
+        "schedulers",
+        help="list each scheduler, its bound and the families routed to it",
     )
     p_list.set_defaults(func=_cmd_schedulers)
 

@@ -68,8 +68,8 @@ class ClusterReport:
     stragglers: int
     wall_s: float
     # cross-shard coordination traffic under StreamSpec(assign="shard")
-    # (0 otherwise); defaulted so pre-1.1.0 report JSON still loads
-    cross_shard: int = 0
+    # (0 otherwise)
+    cross_shard: int
 
     @property
     def accounted(self) -> bool:

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ClusterError, HeartbeatTimeoutError, WorkerCrashError
 from ..obs.recorder import Recorder, active
-from ..service import ServiceConfig, ServiceReport
+from ..service import ServiceConfig
 from .chaos import ChaosPlan
 from .config import ClusterConfig
 from .report import ClusterReport
@@ -82,7 +82,6 @@ class _Worker:
     )
     replayed: int = 0
     end: Optional[str] = None  # None while live; "done"|"retired"|"shed"
-    report: Optional[ServiceReport] = None
     sojourns: List[int] = field(default_factory=list)
     final: Optional[Dict[str, int]] = None
 
@@ -274,7 +273,6 @@ class _Supervisor:
             self.rec.count("cluster.windows")
         elif kind == MSG_DONE:
             state.end = "done"
-            state.report = ServiceReport.from_json(body["report"])
             state.sojourns = [int(s) for s in body["sojourns"]]
             state.final = {k: int(v) for k, v in body["accounting"].items()}
             self._reap(state)

@@ -22,7 +22,7 @@ from .instance import Instance
 from .line import LineScheduler
 from .retime import compact_schedule
 from .schedule import Schedule, Visit
-from .scheduler import Scheduler, available_schedulers, get_scheduler
+from .scheduler import Scheduler
 from .sharded import (
     ShardedClusterScheduler,
     ShardedScheduler,
@@ -42,8 +42,6 @@ __all__ = [
     "greedy_color",
     "validate_coloring",
     "Scheduler",
-    "get_scheduler",
-    "available_schedulers",
     "GreedyScheduler",
     "compact_schedule",
     "CliqueScheduler",

@@ -31,7 +31,7 @@ from .greedy import GreedyScheduler
 from .instance import Instance
 from .rounds import RoundGroup, activation_rounds, theoretical_zeta
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = ["ClusterScheduler", "object_cluster_spread"]
 
@@ -51,7 +51,6 @@ def object_cluster_spread(instance: Instance) -> int:
     return sigma
 
 
-@register("cluster")
 class ClusterScheduler(Scheduler):
     """Theorem 4 scheduler for cluster graphs.
 
@@ -65,6 +64,8 @@ class ClusterScheduler(Scheduler):
     max_rounds_per_phase:
         Safety cap before the deterministic tail takes over.
     """
+
+    name = "cluster"
 
     def __init__(
         self,

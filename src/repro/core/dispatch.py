@@ -1,26 +1,31 @@
-"""One-call scheduling facade and the scheduler capability registry.
+"""One-call scheduling facade and the scheduler table.
 
 :func:`schedule` is the library's one-shot entry point: it resolves the
-scheduler and runs it on the instance.  ``algo`` reads the network's
-:class:`~repro.network.graph.Topology` tag to pick the paper's scheduler
-(unknown families fall back to the generic greedy schedule, whose
-``O(k * ell * d)`` guarantee of §3.1 holds on any graph).  For rolling
-workloads, hold a session open instead (:func:`repro.open_session`).
+scheduler and runs it on the instance.  ``algo="auto"`` follows the
+network family's :attr:`~repro.network.registry.TopologyInfo.default_algo`
+to the paper's scheduler (unknown families fall back to the generic
+greedy schedule, whose ``O(k * ell * d)`` guarantee of §3.1 holds on any
+graph).  For rolling workloads, hold a session open instead
+(:func:`repro.open_session`).
 
-:data:`SCHEDULER_INFO` mirrors the experiment registry's
-``EXPERIMENT_INFO``: one :class:`SchedulerInfo` per algorithm with its
-topology family, approximation bound, and capability flags, so the CLI
-and docs enumerate schedulers from one place instead of hard-coding the
-mapping.
+:data:`SCHEDULER_INFO` is the one name → scheduler table: one
+:class:`SchedulerInfo` row per scheduler, paper algorithms and the E9
+baselines alike, with its approximation bound and factory.  The service,
+sessions, cluster workers, the certifier and the CLI all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Mapping
 
 import numpy as np
 
+from ..baselines.list_scheduler import (
+    RandomOrderScheduler,
+    SequentialScheduler,
+    TSPOrderScheduler,
+)
 from ..errors import SchedulingError
 from ..network.registry import TOPOLOGY_INFO
 from .cluster import ClusterScheduler
@@ -43,24 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchedulerInfo:
-    """Static metadata describing one paper scheduler.
+    """One row of the scheduler table.
 
-    ``topologies`` lists the :class:`~repro.network.graph.Topology` family
-    names that auto-dispatch routes to this scheduler; ``bound`` is the
-    paper's approximation guarantee (human-readable, for listings);
-    ``capabilities`` flags optional constructor features -- ``"rng"``
-    (randomized), ``"order"``/``"compact"`` (greedy-family tuning knobs).
+    ``bound`` is the scheduler's approximation guarantee (human-readable,
+    for listings and certificates); ``factory(**options)`` builds the
+    scheduler with constructor ``options``.
     """
 
     name: str
-    topologies: Tuple[str, ...]
     bound: str
-    capabilities: frozenset
     factory: Callable[..., Scheduler]
-
-    def make(self, **options) -> Scheduler:
-        """Instantiate the scheduler with constructor ``options``."""
-        return self.factory(**options)
 
 
 SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
@@ -68,77 +65,40 @@ SCHEDULER_INFO: Mapping[str, SchedulerInfo] = {
     for info in (
         SchedulerInfo(
             "greedy",
-            (),
             "Gamma + 1 = h_max * Delta + 1 colours (§2.3)",
-            frozenset({"rng", "order", "compact"}),
             GreedyScheduler,
         ),
+        SchedulerInfo("clique", "O(k): k * ell + 1 (Thm 1)", CliqueScheduler),
         SchedulerInfo(
-            "clique",
-            ("clique",),
-            "O(k): k * ell + 1 (Thm 1)",
-            frozenset({"rng", "order", "compact"}),
-            CliqueScheduler,
+            "diameter", "O(k d): k * ell * d + 1 (§3.1)", DiameterScheduler
         ),
-        SchedulerInfo(
-            "diameter",
-            ("hypercube", "butterfly", "ddim-grid", "torus"),
-            "O(k d): k * ell * d + 1 (§3.1)",
-            frozenset({"rng", "order", "compact"}),
-            DiameterScheduler,
-        ),
-        SchedulerInfo(
-            "line",
-            ("line",),
-            "4 * ell (Thm 2)",
-            frozenset(),
-            LineScheduler,
-        ),
-        SchedulerInfo(
-            "grid",
-            ("grid",),
-            "O(k log m) w.h.p. (Thm 3)",
-            frozenset(),
-            GridScheduler,
-        ),
+        SchedulerInfo("line", "4 * ell (Thm 2)", LineScheduler),
+        SchedulerInfo("grid", "O(k log m) w.h.p. (Thm 3)", GridScheduler),
         SchedulerInfo(
             "cluster",
-            ("cluster",),
             "O(min(k beta, 40^k ln^k m)) (Thm 4)",
-            frozenset({"rng"}),
             ClusterScheduler,
         ),
         SchedulerInfo(
             "star",
-            ("star",),
             "O(log beta * min(k beta, c^k ln^k m)) (Thm 5)",
-            frozenset({"rng"}),
             StarScheduler,
         ),
         SchedulerInfo(
             "sharded",
-            ("shard-cluster", "fog-hierarchy"),
             "intra phases in parallel + serial cross-shard phase "
             "(arXiv:2405.15015)",
-            frozenset(),
             ShardedScheduler,
         ),
         SchedulerInfo(
             "sharded-cluster",
-            (),
             "sharded with Alg-1 randomized cross-phase rounds (w.h.p.)",
-            frozenset({"rng"}),
             ShardedClusterScheduler,
         ),
+        SchedulerInfo("sequential", "none (E9 baseline)", SequentialScheduler),
+        SchedulerInfo("random-order", "none (E9 baseline)", RandomOrderScheduler),
+        SchedulerInfo("tsp-order", "none (E9 baseline)", TSPOrderScheduler),
     )
-}
-
-# Auto-dispatch routes each topology family to the algorithm its
-# TOPOLOGY_INFO registry entry names; SCHEDULER_INFO's `topologies`
-# fields must agree (a registry-drift test enforces the consistency in
-# both directions).  Unknown families fall back to "greedy" at lookup.
-_TOPOLOGY_TO_ALGO = {
-    name: info.default_algo for name, info in TOPOLOGY_INFO.items()
 }
 
 
@@ -148,22 +108,22 @@ def resolve_scheduler(
     topology: str | None = None,
     **options,
 ) -> Scheduler:
-    """Instantiate a scheduler by algorithm name or topology family.
+    """Instantiate a scheduler by :data:`SCHEDULER_INFO` name or by family.
 
-    ``algo="auto"`` picks the paper's scheduler for ``topology`` (falling
-    back to greedy for unknown families).  Any :data:`SCHEDULER_INFO`
-    name, or any name in the wider :func:`~repro.core.scheduler.register`
-    registry (baselines included), also works.
+    ``algo="auto"`` picks ``TOPOLOGY_INFO[topology].default_algo``,
+    falling back to greedy for an unknown family; any other name must be
+    a :data:`SCHEDULER_INFO` key.  ``options`` go to the constructor.
     """
     if algo == "auto":
-        info = SCHEDULER_INFO[_TOPOLOGY_TO_ALGO.get(topology, "greedy")]
-    elif algo in SCHEDULER_INFO:
-        info = SCHEDULER_INFO[algo]
-    else:
-        from .scheduler import get_scheduler
-
-        return get_scheduler(algo, **options)
-    return info.make(**options)
+        family = TOPOLOGY_INFO.get(topology)
+        algo = family.default_algo if family is not None else "greedy"
+    try:
+        row = SCHEDULER_INFO[algo]
+    except KeyError:
+        raise SchedulingError(
+            f"unknown scheduler {algo!r}; available: {sorted(SCHEDULER_INFO)}"
+        ) from None
+    return row.factory(**options)
 
 
 def schedule(
@@ -189,8 +149,7 @@ def schedule(
         the instance to change topology).
     algo:
         ``"auto"`` (topology-appropriate paper scheduler, the default) or
-        an explicit scheduler name -- any :data:`SCHEDULER_INFO` entry or
-        registered baseline.
+        an explicit :data:`SCHEDULER_INFO` name, baselines included.
     rng:
         Randomness source for randomized schedulers.
     options:

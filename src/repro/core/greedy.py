@@ -9,19 +9,21 @@ absorbs as the extra ``tau`` term.
 
 This one scheduler *is* the clique algorithm of Theorem 1, and -- run on the
 true shortest-path distances -- the hypercube/butterfly/diameter-``d``
-algorithm of §3.1.  Subclasses merely attach the topology-specific
-theoretical bound for test/bench assertions.
+algorithm of §3.1.  Subclasses attach the topology-specific theoretical
+bound for test/bench assertions; :class:`CliqueScheduler` also rejects any
+network but a clique, the only family on which its bound holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import TopologyError
 from .coloring import greedy_color, order_vertices
 from .dependency import DependencyGraph
 from .instance import Instance
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = [
     "GreedyScheduler",
@@ -74,7 +76,6 @@ def positioning_offset(
     return int((legs - color[first]).max(initial=0))
 
 
-@register("greedy")
 class GreedyScheduler(Scheduler):
     """Greedy colouring schedule of §2.3.
 
@@ -83,16 +84,12 @@ class GreedyScheduler(Scheduler):
     order:
         Vertex ordering strategy (``"id"``, ``"degree"``, ``"random"``);
         any strategy preserves the ``Gamma + 1`` colour bound.
-    compact:
-        When True, apply :func:`repro.core.retime.compact_schedule` to the
-        coloured schedule: keeps the colouring's commit order (and hence
-        the theorem bound, which can only improve) while shifting every
-        commit to the earliest step its objects can actually arrive.
     """
 
-    def __init__(self, order: str = "id", compact: bool = False) -> None:
+    name = "greedy"
+
+    def __init__(self, order: str = "id") -> None:
         self.order = order
-        self.compact = compact
 
     def schedule(
         self, instance: Instance, rng: np.random.Generator | None = None
@@ -110,12 +107,7 @@ class GreedyScheduler(Scheduler):
             "gamma": graph.weighted_degree,
             "offset": offset,
         }
-        schedule = Schedule(instance, commits, meta)
-        if self.compact:
-            from .retime import compact_schedule
-
-            schedule = compact_schedule(schedule)
-        return schedule
+        return Schedule(instance, commits, meta)
 
     @staticmethod
     def color_bound(instance: Instance) -> int:
@@ -124,13 +116,31 @@ class GreedyScheduler(Scheduler):
         return graph.weighted_degree + 1
 
 
-@register("clique")
+def _require_clique(network) -> None:
+    """Raise :class:`TopologyError` unless ``network`` is a clique."""
+    if network.topology.name != "clique":
+        raise TopologyError(
+            f"CliqueScheduler needs a 'clique' network, got "
+            f"{network.topology.name!r}"
+        )
+
+
 class CliqueScheduler(GreedyScheduler):
     """Theorem 1: on a clique, greedy is an ``O(k)`` approximation.
 
     Identical algorithm to :class:`GreedyScheduler`; adds the theorem's
-    makespan bound ``k * ell + 1`` for assertions.
+    makespan bound ``k * ell + 1`` for assertions, and raises
+    :class:`~repro.errors.TopologyError` on any other network, where that
+    bound does not hold.
     """
+
+    name = "clique"
+
+    def schedule(
+        self, instance: Instance, rng: np.random.Generator | None = None
+    ) -> Schedule:
+        _require_clique(instance.network)
+        return super().schedule(instance, rng)
 
     @staticmethod
     def theorem_bound(instance: Instance) -> int:
@@ -138,7 +148,6 @@ class CliqueScheduler(GreedyScheduler):
         return instance.max_k * instance.max_load + 1
 
 
-@register("diameter")
 class DiameterScheduler(GreedyScheduler):
     """§3.1: greedy on any diameter-``d`` graph (hypercube, butterfly, ...).
 
@@ -146,6 +155,8 @@ class DiameterScheduler(GreedyScheduler):
     ``k * ell * d + 1`` colours, i.e. an ``O(k d)`` approximation against
     the ``chi >= ell`` lower bound.
     """
+
+    name = "diameter"
 
     @staticmethod
     def theorem_bound(instance: Instance) -> int:

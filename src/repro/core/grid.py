@@ -31,12 +31,11 @@ from .greedy import GreedyScheduler
 from .instance import Instance
 from .phasing import PhaseState, run_phase
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = ["GridScheduler"]
 
 
-@register("grid")
 class GridScheduler(Scheduler):
     """Boustrophedon subgrid sweep with greedy internal schedules.
 
@@ -49,6 +48,8 @@ class GridScheduler(Scheduler):
         Explicit subgrid side override (wins over ``xi_factor``); used by
         tests and the ablation bench.
     """
+
+    name = "grid"
 
     def __init__(
         self, xi_factor: float = 27.0, side: int | None = None

@@ -50,6 +50,7 @@ import numpy as np
 from ..errors import SessionError
 from ..obs.events import SessionDeltaEvent
 from ..obs.recorder import Recorder, active
+from .greedy import _require_clique
 from .instance import Instance
 from .schedule import Schedule
 from .scheduler import Scheduler
@@ -422,6 +423,9 @@ class SchedulerSession:
     and colouring in place; every other scheduler is rebuilt from the
     live window on each read, so every topology keeps its specialized
     algorithm and bound.  :attr:`mode` reports which engine runs.
+    ``algo="clique"`` on any other network raises
+    :class:`~repro.errors.TopologyError` when the session opens, as
+    :func:`repro.schedule` does.
 
     Either way the schedule observed through the session is identical,
     field by field, to ``repro.schedule()`` on the equivalent static
@@ -440,7 +444,7 @@ class SchedulerSession:
         rng: Optional[np.random.Generator] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
-        from .dispatch import _TOPOLOGY_TO_ALGO, resolve_scheduler
+        from .dispatch import resolve_scheduler
 
         if home_policy not in _HOME_POLICIES:
             raise SessionError(
@@ -449,9 +453,10 @@ class SchedulerSession:
             )
         self.network = network
         self.home_policy = home_policy
-        if algo == "auto":
-            algo = _TOPOLOGY_TO_ALGO.get(network.topology.name, "greedy")
-        self.algo = algo
+        scheduler = resolve_scheduler(algo, topology=network.topology.name)
+        self.algo = scheduler.name
+        if self.algo == "clique":
+            _require_clique(network)
         self._homes: Dict[int, int] = {
             int(o): int(v) for o, v in (object_homes or {}).items()
         }
@@ -471,10 +476,10 @@ class SchedulerSession:
         self._aborted = 0
         self._engine: Optional[IncrementalConflictGraph] = None
         self._scheduler: Optional[Scheduler] = None
-        if algo in GREEDY_FAMILY:
+        if self.algo in GREEDY_FAMILY:
             self._engine = IncrementalConflictGraph(network)
         else:
-            self._scheduler = resolve_scheduler(algo)
+            self._scheduler = scheduler
         self._active: Dict[int, Transaction] = {}
         self._node_tid: Dict[int, int] = {}
         self._cached: Optional[Schedule] = None

@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import TopologyError
 from .instance import Instance
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = ["LineScheduler", "line_walk_length"]
 
@@ -41,9 +41,10 @@ def line_walk_length(home: int, left: int, right: int) -> int:
     return (right - left) + min(home - left, right - home)
 
 
-@register("line")
 class LineScheduler(Scheduler):
     """Two-phase block-wave schedule for the line graph."""
+
+    name = "line"
 
     def schedule(
         self, instance: Instance, rng: np.random.Generator | None = None

@@ -1,24 +1,22 @@
-"""Scheduler interface and registry.
+"""Scheduler interface.
 
 Every scheduling algorithm implements :class:`Scheduler`: it maps an
 :class:`~repro.core.instance.Instance` to a feasible
 :class:`~repro.core.schedule.Schedule`.  Randomized schedulers accept a
-``numpy.random.Generator``; deterministic ones ignore it.  The registry
-backs :mod:`repro.core.dispatch` and the CLI.
+``numpy.random.Generator``; deterministic ones ignore it.  The table of
+named schedulers is :data:`repro.core.dispatch.SCHEDULER_INFO`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict
 
 import numpy as np
 
-from ..errors import SchedulingError
 from .instance import Instance
 from .schedule import Schedule
 
-__all__ = ["Scheduler", "register", "get_scheduler", "available_schedulers"]
+__all__ = ["Scheduler"]
 
 
 class Scheduler(abc.ABC):
@@ -29,7 +27,8 @@ class Scheduler(abc.ABC):
     schedule passes :meth:`Schedule.validate` for every valid instance.
     """
 
-    #: Registry / display name; subclasses override.
+    #: Display name, the scheduler's ``SCHEDULER_INFO`` key and its
+    #: schedules' ``meta["scheduler"]``; subclasses override.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -45,35 +44,3 @@ class Scheduler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-_REGISTRY: Dict[str, Callable[[], Scheduler]] = {}
-
-
-def register(name: str) -> Callable[[type], type]:
-    """Class decorator adding a scheduler to the registry under ``name``."""
-
-    def deco(cls: type) -> type:
-        if name in _REGISTRY:
-            raise SchedulingError(f"scheduler {name!r} already registered")
-        _REGISTRY[name] = cls
-        cls.name = name
-        return cls
-
-    return deco
-
-
-def get_scheduler(name: str, **kwargs) -> Scheduler:
-    """Instantiate a registered scheduler by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown scheduler {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return factory(**kwargs)
-
-
-def available_schedulers() -> list[str]:
-    """Registered scheduler names, sorted."""
-    return sorted(_REGISTRY)

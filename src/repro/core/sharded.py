@@ -18,9 +18,9 @@ shards*:
   covers every first leg, and phase disjointness gives the inter-phase
   legs at least that much slack.
 
-:class:`ShardedScheduler` (registered ``sharded``) runs the cross phase
+:class:`ShardedScheduler` (named ``sharded``) runs the cross phase
 as a deterministic greedy colouring; :class:`ShardedClusterScheduler`
-(registered ``sharded-cluster``) instead drives the cross phase through
+(named ``sharded-cluster``) instead drives the cross phase through
 the §6 randomized activation-round protocol with the shards as the
 round groups -- the Algorithm 1 analogue for cross-shard commits.
 """
@@ -39,7 +39,7 @@ from .instance import Instance
 from .phasing import last_user_positions
 from .rounds import RoundGroup, activation_rounds
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = [
     "ShardSplit",
@@ -108,7 +108,6 @@ def cross_shard_ratio(instance: Instance) -> float:
     return split.cross_count / total if total else 0.0
 
 
-@register("sharded")
 class ShardedScheduler(Scheduler):
     """Two-phase sharded scheduler (arXiv:2405.15015 style).
 
@@ -122,6 +121,8 @@ class ShardedScheduler(Scheduler):
     ln_factor / max_rounds_per_phase:
         Round-protocol knobs, used only with ``cross="rounds"``.
     """
+
+    name = "sharded"
 
     def __init__(
         self,
@@ -210,7 +211,6 @@ class ShardedScheduler(Scheduler):
         return Schedule(instance, commits, meta)
 
 
-@register("sharded-cluster")
 class ShardedClusterScheduler(ShardedScheduler):
     """Sharded scheduler whose cross phase runs Algorithm-1 rounds.
 
@@ -219,6 +219,8 @@ class ShardedClusterScheduler(ShardedScheduler):
     as the round groups (round duration budgets the network diameter,
     covering any inter-shard leg).
     """
+
+    name = "sharded-cluster"
 
     def __init__(
         self, ln_factor: float = 24.0, max_rounds_per_phase: int = 10_000

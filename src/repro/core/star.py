@@ -31,7 +31,7 @@ from .instance import Instance
 from .phasing import PhaseState, run_phase
 from .rounds import RoundGroup, activation_rounds
 from .schedule import Schedule
-from .scheduler import Scheduler, register
+from .scheduler import Scheduler
 
 __all__ = ["StarScheduler", "ray_segments"]
 
@@ -54,9 +54,10 @@ def ray_segments(beta: int) -> list[tuple[int, int]]:
     return segments
 
 
-@register("star")
 class StarScheduler(Scheduler):
     """Theorem 5 scheduler: per-ring periods with cluster-style scheduling."""
+
+    name = "star"
 
     def __init__(self, max_rounds_per_phase: int = 10_000) -> None:
         self.max_rounds_per_phase = max_rounds_per_phase

@@ -238,6 +238,5 @@ class InvariantViolationError(ReproError):
     once, a commit before its release, a hop entering a down link, or an
     object dispatched past a higher-priority waiter.  Turning silent
     corruption into an immediate typed failure is the sanitizer's whole
-    job; disable it (``InvariantSanitizer(enabled=False)``) only for
-    benchmarks.
+    job; a run that should not pay for the checks attaches none.
     """

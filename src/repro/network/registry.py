@@ -1,12 +1,10 @@
 """The topology registry: one :class:`TopologyInfo` per network family.
 
-Mirrors the scheduler registry (``SCHEDULER_INFO`` in
-:mod:`repro.core.dispatch`): each entry names a topology family, its
-constructor, its parameter schema (with defaults and per-parameter
-docs), the scheduler algorithm auto-dispatch routes to, and how the
-certificate checker treats the family's theorem bound (``"enforced"``
-exactly, ``"recorded"`` measured-but-not-enforced for the w.h.p.
-results, ``"none"`` for substrates without a scheduler guarantee).
+Each entry names a topology family, its constructor, its parameter
+schema (with defaults and per-parameter docs), and the scheduler that
+``algo="auto"`` routes it to.  ``default_algo`` is the one topology →
+scheduler routing; the scheduler it names is a row of the scheduler
+table (``SCHEDULER_INFO`` in :mod:`repro.core.dispatch`).
 
 :func:`make_network` is the uniform construction facade --
 ``repro.make_network("shard-cluster", shards=4, shard_size=6)`` -- and
@@ -76,10 +74,9 @@ class TopologyInfo:
     """Static metadata describing one topology family.
 
     ``default_algo`` names the :data:`~repro.core.dispatch.SCHEDULER_INFO`
-    entry that ``algo="auto"`` dispatch routes this family to;
-    ``bound_kind`` is how :mod:`repro.staticcheck.certify` treats the
-    family's theorem bound; ``sizes`` adapts the CLI's ``(size, size2)``
-    convention to constructor keywords (see :func:`network_from_sizes`).
+    row that ``algo="auto"`` dispatch routes this family to; ``sizes``
+    adapts the CLI's ``(size, size2)`` convention to constructor keywords
+    (see :func:`network_from_sizes`).
     """
 
     name: str
@@ -87,7 +84,6 @@ class TopologyInfo:
     params: Tuple[TopologyParam, ...]
     factory: Callable[..., Network]
     default_algo: str
-    bound_kind: str
     sizes: Callable[[int, Optional[int]], Dict[str, object]] = field(
         repr=False, default=lambda size, size2: {"n": size}
     )
@@ -123,41 +119,26 @@ class TopologyInfo:
         return net
 
 
-def _info(
-    name: str,
-    doc: str,
-    params: Tuple[TopologyParam, ...],
-    factory: Callable[..., Network],
-    default_algo: str,
-    bound_kind: str,
-    sizes: Callable[[int, Optional[int]], Dict[str, object]],
-) -> TopologyInfo:
-    return TopologyInfo(name, doc, params, factory, default_algo,
-                        bound_kind, sizes)
-
-
 TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
     info.name: info
     for info in (
-        _info(
+        TopologyInfo(
             "clique",
             "complete graph, unit weights (§3)",
             (TopologyParam("n", "number of nodes"),),
             clique,
             "clique",
-            "enforced",
             lambda size, size2: {"n": size},
         ),
-        _info(
+        TopologyInfo(
             "line",
             "path graph, unit weights (§4)",
             (TopologyParam("n", "number of nodes"),),
             line,
             "line",
-            "enforced",
             lambda size, size2: {"n": size},
         ),
-        _info(
+        TopologyInfo(
             "grid",
             "rows x cols mesh, unit weights (§5)",
             (
@@ -166,10 +147,9 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             grid,
             "grid",
-            "recorded",
             lambda size, size2: {"rows": size, "cols": size2},
         ),
-        _info(
+        TopologyInfo(
             "cluster",
             "alpha cliques of beta nodes, bridge weight gamma (§6)",
             (
@@ -179,28 +159,25 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             cluster,
             "cluster",
-            "recorded",
             lambda size, size2: {"alpha": size, "beta": size2 or 4},
         ),
-        _info(
+        TopologyInfo(
             "hypercube",
             "2^dim nodes, unit weights (§3.1)",
             (TopologyParam("dim", "hypercube dimension"),),
             hypercube,
             "diameter",
-            "enforced",
             lambda size, size2: {"dim": size},
         ),
-        _info(
+        TopologyInfo(
             "butterfly",
             "(dim+1) * 2^dim unwrapped butterfly (§3.1)",
             (TopologyParam("dim", "butterfly dimension"),),
             butterfly,
             "diameter",
-            "enforced",
             lambda size, size2: {"dim": size},
         ),
-        _info(
+        TopologyInfo(
             "star",
             "alpha rays of beta nodes around a center (§7)",
             (
@@ -209,10 +186,9 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             star,
             "star",
-            "recorded",
             lambda size, size2: {"alpha": size, "beta": size2 or 7},
         ),
-        _info(
+        TopologyInfo(
             "torus",
             "rows x cols wraparound mesh, unit weights (§3.1)",
             (
@@ -221,39 +197,35 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             torus,
             "diameter",
-            "enforced",
             lambda size, size2: {"rows": size, "cols": size2},
         ),
-        _info(
+        TopologyInfo(
             "ddim-grid",
             "general d-dimensional mesh, unit weights (§3.1)",
             (TopologyParam("dims", "side length per axis (sequence)"),),
             ddim_grid,
             "diameter",
-            "enforced",
             lambda size, size2: {
                 "dims": (size, size2) if size2 else (size, size)
             },
         ),
-        _info(
+        TopologyInfo(
             "lb-grid",
             "the §8.1 grid-of-blocks lower-bound substrate",
             (TopologyParam("s", "block count (sqrt(s) integral)"),),
             lower_bound_grid,
             "greedy",
-            "none",
             lambda size, size2: {"s": size},
         ),
-        _info(
+        TopologyInfo(
             "lb-tree",
             "the §8.2 tree-of-blocks lower-bound substrate",
             (TopologyParam("s", "block count (sqrt(s) integral)"),),
             lower_bound_tree,
             "greedy",
-            "none",
             lambda size, size2: {"s": size},
         ),
-        _info(
+        TopologyInfo(
             "shard-cluster",
             "blockchain shard committees: cliques + leader mesh "
             "(arXiv:2405.15015)",
@@ -267,10 +239,9 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             shard_cluster,
             "sharded",
-            "recorded",
             lambda size, size2: {"shards": size, "shard_size": size2 or 4},
         ),
-        _info(
+        TopologyInfo(
             "fog-hierarchy",
             "cloud/fog/edge tree of shard committees (arXiv:2511.09776)",
             (
@@ -284,7 +255,6 @@ TOPOLOGY_INFO: Mapping[str, TopologyInfo] = {
             ),
             fog_hierarchy,
             "sharded",
-            "recorded",
             lambda size, size2: {"tiers": size, "shard_size": size2 or 4},
         ),
     )

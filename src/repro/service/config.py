@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.scheduler import available_schedulers
+from ..core.dispatch import SCHEDULER_INFO
 from ..errors import ServiceError
 from ..faults.backoff import RetryPolicy
 
@@ -69,8 +69,8 @@ class ServiceConfig:
     algo:
         The scheduler the batch engine (the engine of a service without
         a fault plan) runs on each window: ``"auto"`` picks the paper's
-        scheduler for the stream's topology, any other name must be one
-        :func:`~repro.core.dispatch.resolve_scheduler` knows.
+        scheduler for the stream's topology, any other name must be a
+        :data:`~repro.core.dispatch.SCHEDULER_INFO` key.
     """
 
     window: int = 16
@@ -131,10 +131,10 @@ class ServiceConfig:
                 f"unknown saturation policy {self.on_saturation!r}; choose "
                 f"from {_SATURATION_POLICIES}"
             )
-        if self.algo != "auto" and self.algo not in available_schedulers():
+        if self.algo != "auto" and self.algo not in SCHEDULER_INFO:
             raise ServiceError(
                 f"unknown scheduler {self.algo!r}; choose 'auto' or one of "
-                f"{available_schedulers()}"
+                f"{sorted(SCHEDULER_INFO)}"
             )
 
     @property

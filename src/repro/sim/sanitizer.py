@@ -21,9 +21,9 @@ are being made*:
 
 A violation raises :class:`~repro.errors.InvariantViolationError`
 immediately (or is collected when ``raise_on_violation=False``, which the
-E18 experiment uses to report a violation count).  Construction with
-``enabled=False`` turns every hook into a no-op -- the opt-out for
-benchmarks, where the checks' O(objects + pending) per-step cost matters.
+E18 experiment uses to report a violation count).  The checks cost
+O(objects + pending) per step; a run that should not pay it passes no
+sanitizer (``sanitizer=None``, the default).
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class InvariantSanitizer:
 
     Parameters
     ----------
-    enabled:
-        ``False`` turns every check into an immediate return (benchmark
-        opt-out).
     raise_on_violation:
         ``True`` (default) raises :class:`InvariantViolationError` on the
         first violation; ``False`` collects messages in :attr:`violations`
@@ -52,10 +49,7 @@ class InvariantSanitizer:
     experiment tables can assert the sanitizer actually ran.
     """
 
-    def __init__(
-        self, enabled: bool = True, raise_on_violation: bool = True
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, raise_on_violation: bool = True) -> None:
         self.raise_on_violation = raise_on_violation
         self.checks = 0
         self.violations: List[str] = []
@@ -82,8 +76,6 @@ class InvariantSanitizer:
         The runtime calls this at every step it visits; it skips the
         steps at which nothing happens.
         """
-        if not self.enabled:
-            return
         self.checks += 1
         moving_set = set(moving)
         stray = moving_set - set(position)
@@ -115,8 +107,6 @@ class InvariantSanitizer:
         release: Mapping[int, int],
     ) -> None:
         """No commit before release; all objects present and idle."""
-        if not self.enabled:
-            return
         self.checks += 1
         rel = release.get(txn.tid)
         if rel is not None and t < rel:
@@ -140,8 +130,6 @@ class InvariantSanitizer:
 
     def check_hop(self, t: int, u: int, v: int, plan) -> None:
         """A hop entered at ``t`` must not traverse a down link."""
-        if not self.enabled:
-            return
         self.checks += 1
         ev = plan.link_down(u, v, t)
         if ev is not None:
@@ -158,8 +146,6 @@ class InvariantSanitizer:
         prio: Dict[int, tuple],
     ) -> None:
         """Objects move only toward their highest-priority pending waiter."""
-        if not self.enabled:
-            return
         self.checks += 1
         requesters = [
             txn for txn in pending.values() if obj in txn.objects

@@ -205,9 +205,15 @@ class TestSchedulersCommand:
 
         assert main(["schedulers"]) == 0
         printed = capsys.readouterr().out
-        for name in ("greedy", "clique", "line", "grid", "cluster", "star"):
+        for name in ("greedy", "clique", "line", "grid", "cluster", "star",
+                     "sequential", "random-order", "tsp-order"):
             assert name in printed
         assert "bound:" in printed
+        # the routed families come from TOPOLOGY_INFO's default_algo
+        greedy_row = next(
+            line for line in printed.splitlines() if line.startswith("greedy ")
+        )
+        assert "lb-grid" in greedy_row and "lb-tree" in greedy_row
 
 
 class TestTopologiesCommand:

@@ -726,15 +726,6 @@ class TestClusterReport:
         assert rep.as_dict()["cross_shard"] == rep.cross_shard
         assert f"cross-shard {rep.cross_shard}" in rep.render()
 
-    def test_pre_cross_shard_report_json_still_loads(self):
-        # report JSON written before the cross_shard field lacks the key
-        rep = run_cluster("grid", 3, None, STREAM, SVC, quick_config())
-        envelope = json.loads(rep.to_json())
-        del envelope["body"]["cross_shard"]
-        back = ClusterReport.from_json(json.dumps(envelope))
-        assert back.cross_shard == 0
-        assert back.released == rep.released
-
 
 class TestClusterCli:
     def test_cluster_command_with_parity_gate(self, capsys):

@@ -1,10 +1,9 @@
-"""Unit tests for scheduler dispatch and the registry."""
+"""Unit tests for scheduler dispatch and the scheduler table."""
 
 import numpy as np
 import pytest
 
-from repro.core import available_schedulers, get_scheduler
-from repro.core.dispatch import resolve_scheduler, schedule
+from repro.core.dispatch import SCHEDULER_INFO, resolve_scheduler, schedule
 from repro.core.cluster import ClusterScheduler
 from repro.core.greedy import CliqueScheduler, DiameterScheduler, GreedyScheduler
 from repro.core.grid import GridScheduler
@@ -69,20 +68,21 @@ class TestDispatch:
 
 class TestRegistry:
     def test_expected_names_registered(self):
-        names = available_schedulers()
-        for expected in (
-            "greedy", "clique", "diameter", "line", "grid", "cluster",
-            "star", "sequential", "random-order", "tsp-order",
-        ):
-            assert expected in names
+        assert sorted(SCHEDULER_INFO) == [
+            "clique", "cluster", "diameter", "greedy", "grid", "line",
+            "random-order", "sequential", "sharded", "sharded-cluster",
+            "star", "tsp-order",
+        ]
 
-    def test_get_scheduler_by_name(self):
-        assert isinstance(get_scheduler("line"), LineScheduler)
-        assert isinstance(get_scheduler("greedy", order="degree"), GreedyScheduler)
+    def test_resolve_scheduler_by_name(self):
+        assert isinstance(resolve_scheduler("line"), LineScheduler)
+        sched = resolve_scheduler("greedy", order="degree")
+        assert isinstance(sched, GreedyScheduler)
+        assert sched.order == "degree"
 
     def test_unknown_name_raises(self):
         with pytest.raises(SchedulingError, match="unknown scheduler"):
-            get_scheduler("does-not-exist")
+            resolve_scheduler("does-not-exist")
 
 
 class TestScheduleFacade:
@@ -165,22 +165,20 @@ class TestScheduleFacade:
 
 class TestSchedulerInfo:
     def test_registry_mirrors_topologies(self):
-        from repro.core import SCHEDULER_INFO
+        from repro.network import TOPOLOGY_INFO
 
-        covered = {t for info in SCHEDULER_INFO.values()
-                   for t in info.topologies}
-        for name in ("clique", "line", "grid", "cluster", "hypercube",
-                     "butterfly", "star", "ddim-grid", "torus"):
-            assert name in covered
+        # each paper family routes to its own theorem's scheduler
+        for family in ("clique", "line", "grid", "cluster", "star"):
+            assert TOPOLOGY_INFO[family].default_algo == family
+        for family in ("hypercube", "butterfly", "ddim-grid", "torus"):
+            assert TOPOLOGY_INFO[family].default_algo == "diameter"
 
     def test_every_entry_has_a_bound_and_factory(self):
-        from repro.core import SCHEDULER_INFO
-
         for name, info in SCHEDULER_INFO.items():
             assert info.name == name
             assert info.bound
-            sched = info.make()
-            assert hasattr(sched, "schedule")
+            sched = info.factory()
+            assert sched.name == name
 
 
 class TestOneShotPath:
@@ -202,9 +200,6 @@ class TestOneShotPath:
         assert got.meta == want.meta
 
     def test_incremental_names_are_gone(self):
-        from repro.core import SCHEDULER_INFO
-
-        assert len(SCHEDULER_INFO) == 9
         for name in ("incremental", "incremental-clique",
                      "incremental-diameter"):
             assert name not in SCHEDULER_INFO

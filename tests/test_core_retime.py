@@ -63,19 +63,10 @@ class TestCompaction:
         compacted = compact_schedule(original)
         assert compacted.makespan < original.makespan
 
-    def test_greedy_compact_flag(self):
-        rng = np.random.default_rng(3)
-        inst = random_k_subsets(clique(16), w=4, k=2, rng=rng)
-        plain = GreedyScheduler().schedule(inst)
-        flagged = GreedyScheduler(compact=True).schedule(inst)
-        flagged.validate()
-        assert flagged.makespan <= plain.makespan
-        assert "compacted_from" in flagged.meta
-
     def test_still_above_lower_bound(self):
         from repro.bounds import makespan_lower_bound
 
         rng = np.random.default_rng(4)
         inst = random_k_subsets(grid(6), w=6, k=2, rng=rng)
-        compacted = GreedyScheduler(compact=True).schedule(inst)
+        compacted = compact_schedule(GreedyScheduler().schedule(inst))
         assert compacted.makespan >= makespan_lower_bound(inst)

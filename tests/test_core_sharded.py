@@ -17,7 +17,7 @@ from repro.core import (
     ShardedClusterScheduler,
     ShardedScheduler,
     cross_shard_ratio,
-    get_scheduler,
+    resolve_scheduler,
     shard_split,
 )
 from repro.errors import TopologyError
@@ -90,9 +90,9 @@ class TestShardSplit:
 
 class TestShardedScheduler:
     def test_registered_names(self):
-        assert isinstance(get_scheduler("sharded"), ShardedScheduler)
+        assert isinstance(resolve_scheduler("sharded"), ShardedScheduler)
         assert isinstance(
-            get_scheduler("sharded-cluster"), ShardedClusterScheduler
+            resolve_scheduler("sharded-cluster"), ShardedClusterScheduler
         )
 
     def test_requires_sharded_topology(self):

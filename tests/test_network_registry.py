@@ -3,8 +3,8 @@
 The registry is the single dispatch table for topology construction:
 ``make_network`` must round-trip every entry, the CLI ``sizes`` adapters
 must agree with the legacy positional convention, and the registry must
-stay consistent with the scheduler registry (every ``default_algo``
-resolves, and auto-dispatch's topology table is derived from it).
+stay consistent with the scheduler table (every ``default_algo``
+resolves, and auto-dispatch follows it).
 """
 
 from __future__ import annotations
@@ -144,15 +144,12 @@ class TestSchedulerRegistryConsistency:
             assert info.default_algo in SCHEDULER_INFO, info.name
 
     def test_auto_dispatch_table_derived_from_registry(self):
-        from repro.core.dispatch import _TOPOLOGY_TO_ALGO
+        from repro.core.dispatch import resolve_scheduler
 
-        assert _TOPOLOGY_TO_ALGO == {
-            name: info.default_algo for name, info in TOPOLOGY_INFO.items()
-        }
-
-    def test_bound_kinds_valid(self):
-        for info in TOPOLOGY_INFO.values():
-            assert info.bound_kind in ("enforced", "recorded", "none"), info.name
+        for name, info in TOPOLOGY_INFO.items():
+            assert resolve_scheduler(topology=name).name == info.default_algo
+        assert resolve_scheduler(topology="moebius").name == "greedy"
+        assert resolve_scheduler().name == "greedy"
 
     def test_param_schema_well_formed(self):
         for info in TOPOLOGY_INFO.values():

@@ -92,13 +92,6 @@ class TestHopAndDispatch:
 
 
 class TestModes:
-    def test_disabled_sanitizer_is_a_noop(self):
-        san = InvariantSanitizer(enabled=False)
-        san.check_step(3, {0: 1}, moving={0, 5}, pending={})
-        san.check_hop(5, 1, 2, FaultPlan([LinkFailure(1, 2, 0, 10)]))
-        assert san.checks == 0
-        assert san.violations == []
-
     def test_collecting_mode_records_instead_of_raising(self):
         san = InvariantSanitizer(raise_on_violation=False)
         san.check_step(3, {0: 1}, moving={0, 5}, pending={})
