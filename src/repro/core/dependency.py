@@ -235,21 +235,18 @@ class ArrayDependencyGraph(DependencyGraph):
         lo, hi = keys // m, keys % m
         w = instance.network.pair_distances(node_of[lo], node_of[hi])
 
-        # both edge directions, compacted by scipy's C-level COO -> CSR
-        from scipy.sparse import csr_array
-
-        mat = csr_array(
-            (
-                np.concatenate([w, w]),
-                (np.concatenate([lo, hi]), np.concatenate([hi, lo])),
-            ),
-            shape=(m, m),
-        )
+        # both edge directions in row-major order (columns ascending in
+        # each row) from one sort of their row * m + column keys
+        both = np.concatenate([keys, hi * m + lo])
+        order = np.argsort(both)
+        both = both[order]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(both // m, minlength=m), out=indptr[1:])
         return cls(
             vert,
-            mat.indptr.astype(np.int64),
-            mat.indices.astype(np.int64),
-            mat.data.astype(np.int64),
+            indptr,
+            both % m,
+            np.concatenate([w, w])[order].astype(np.int64, copy=False),
         )
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,8 @@ Implementation notes:
   distances instead of the analytic ``3 * sqrt(xi)`` bound);
 * if ``sqrt(xi) >= n`` there is a single subgrid and the algorithm
   degenerates to plain greedy on the whole grid, exactly as in the paper's
-  ``xi > n^2 / 9`` case.
+  ``xi > n^2 / 9`` case; the scheduler then runs greedy on the instance
+  directly, with no phase composition around it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ class GridScheduler(Scheduler):
 
         sub_rows = -(-rows // side)
         sub_cols = -(-cols // side)
+
+        if sub_rows * sub_cols == 1:
+            # one subgrid: its single phase is greedy on the whole
+            # instance, so skip the phase composition around it
+            sched = GreedyScheduler().schedule(instance)
+            sched.meta = {
+                "scheduler": self.name,
+                "side": side,
+                "subgrids": 1,
+                "subgrids_executed": 1,
+                "max_internal_span": sched.makespan,
+            }
+            return sched
 
         # boustrophedon column-major subgrid order (Fig 2)
         order: List[tuple[int, int]] = []

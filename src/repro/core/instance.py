@@ -3,13 +3,15 @@
 An :class:`Instance` bundles a communication graph, a batch of transactions
 (at most one per node), and the initial home node of every shared object
 (single copy each).  It validates the model constraints at construction and
-precomputes the users-per-object index that every scheduler needs.
+builds, on first use, the users-per-object index that every scheduler
+needs.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -18,6 +20,42 @@ from ..network.graph import Network
 from .transaction import Transaction
 
 __all__ = ["Incidence", "Instance"]
+
+
+def _reject(
+    txns: Sequence[Transaction], homes: Mapping[int, int], n: int
+) -> NoReturn:
+    """Raise the :class:`InstanceError` that names a batch's first offence.
+
+    :class:`Instance` calls this only for a batch that failed one of its
+    whole-batch checks.  The walk goes transaction by transaction
+    (duplicate tid, node outside the graph, node already taken), then
+    over every used object's home in first-use order, then over every
+    home's node, so the first offender in that order is the one named.
+    """
+    seen_tids: set[int] = set()
+    seen_nodes: set[int] = set()
+    for t in txns:
+        if t.tid in seen_tids:
+            raise InstanceError(f"duplicate transaction id {t.tid}")
+        seen_tids.add(t.tid)
+        if not (0 <= t.node < n):
+            raise InstanceError(
+                f"transaction {t.tid} placed at node {t.node} outside graph"
+            )
+        if t.node in seen_nodes:
+            raise InstanceError(
+                f"node {t.node} hosts more than one transaction"
+            )
+        seen_nodes.add(t.node)
+    for t in txns:
+        for o in t.objects:
+            if o not in homes:
+                raise InstanceError(f"object {o} has no home node")
+    for o, v in homes.items():
+        if not (0 <= v < n):
+            raise InstanceError(f"object {o} home {v} outside graph")
+    raise InstanceError("invalid batch")  # unreachable after a failed check
 
 
 class Incidence(NamedTuple):
@@ -86,48 +124,30 @@ class Instance:
             int(o): int(v) for o, v in object_homes.items()
         }
 
-        if not self.transactions:
+        txns = self.transactions
+        n = network.n
+        if not txns:
             raise InstanceError("instance must contain at least one transaction")
-        if len(self.transactions) > network.n:
-            raise InstanceError(
-                f"{len(self.transactions)} transactions exceed {network.n} nodes"
-            )
+        if len(txns) > n:
+            raise InstanceError(f"{len(txns)} transactions exceed {n} nodes")
 
-        seen_nodes: set[int] = set()
-        seen_tids: set[int] = set()
-        users: dict[int, list[Transaction]] = {}
-        for t in self.transactions:
-            if t.tid in seen_tids:
-                raise InstanceError(f"duplicate transaction id {t.tid}")
-            seen_tids.add(t.tid)
-            if not (0 <= t.node < network.n):
-                raise InstanceError(
-                    f"transaction {t.tid} placed at node {t.node} outside graph"
-                )
-            if t.node in seen_nodes:
-                raise InstanceError(
-                    f"node {t.node} hosts more than one transaction"
-                )
-            seen_nodes.add(t.node)
-            for o in t.objects:
-                users.setdefault(o, []).append(t)
+        # whole-batch checks; only a failing batch is walked, to name its
+        # first offender
+        nodes = [t.node for t in txns]
+        homes = self.object_homes
+        where = homes.values()
+        if (
+            len({t.tid for t in txns}) < len(txns)
+            or len(set(nodes)) < len(txns)
+            or min(nodes) < 0
+            or max(nodes) >= n
+            or not homes.keys() >= set().union(*[t.objects for t in txns])
+            or min(where, default=0) < 0
+            or max(where, default=0) >= n
+        ):
+            _reject(txns, homes, n)
 
-        for o in users:
-            if o not in self.object_homes:
-                raise InstanceError(f"object {o} has no home node")
-        for o, v in self.object_homes.items():
-            if not (0 <= v < network.n):
-                raise InstanceError(f"object {o} home {v} outside graph")
-
-        self._users: dict[int, tuple[Transaction, ...]] | None = {
-            o: tuple(ts) for o, ts in users.items()
-        }
-        self._by_tid: dict[int, Transaction] = {
-            t.tid: t for t in self.transactions
-        }
-        self._by_node: dict[int, Transaction] = {
-            t.node: t for t in self.transactions
-        }
+        self._users: dict[int, tuple[Transaction, ...]] | None = None
         self._incidence: Incidence | None = None
 
     @classmethod
@@ -146,17 +166,22 @@ class Instance:
         :meth:`restrict` starts from a valid instance): ``transactions``
         non-empty and unique by tid and node, nodes in range,
         ``object_homes`` covering every used object with nodes in range.
-        The users-per-object index is built lazily on first access.
         """
         inst = cls.__new__(cls)
         inst.network = network
         inst.transactions = tuple(transactions)
         inst.object_homes = object_homes
         inst._users = None
-        inst._by_tid = {t.tid: t for t in inst.transactions}
-        inst._by_node = {t.node: t for t in inst.transactions}
         inst._incidence = None
         return inst
+
+    @cached_property
+    def _by_tid(self) -> dict[int, Transaction]:
+        return {t.tid: t for t in self.transactions}
+
+    @cached_property
+    def _by_node(self) -> dict[int, Transaction]:
+        return {t.node: t for t in self.transactions}
 
     def _user_index(self) -> dict[int, tuple[Transaction, ...]]:
         if self._users is None:
@@ -221,7 +246,7 @@ class Instance:
     @property
     def max_k(self) -> int:
         """Largest per-transaction object count ``k``."""
-        return max(t.k for t in self.transactions)
+        return int(np.bincount(self.incidence.txn).max())
 
     @property
     def paper_m(self) -> int:

@@ -37,7 +37,8 @@ class ServiceConfig:
         Backpressure watermarks on the backlog (pending + deferred).
         Admission closes when the backlog reaches ``high_water`` and --
         hysteresis -- reopens only once it drains below ``low_water``
-        (default ``high_water // 2``).
+        (default ``max(1, high_water // 2)``, so a high-water mark of 1
+        still reopens on an empty backlog).
     admission:
         What a closed gate does with a release: ``"defer"`` queues it
         FIFO (nothing lost), ``"shed"`` refuses it permanently with a
@@ -94,10 +95,10 @@ class ServiceConfig:
                 f"high_water must be >= 1, got {self.high_water}"
             )
         if self.low_water is not None and not (
-            0 <= self.low_water <= self.high_water
+            1 <= self.low_water <= self.high_water
         ):
             raise ServiceError(
-                f"low_water must be in [0, high_water], got {self.low_water}"
+                f"low_water must be in [1, high_water], got {self.low_water}"
             )
         if self.admission not in _ADMISSION_POLICIES:
             raise ServiceError(
@@ -142,7 +143,7 @@ class ServiceConfig:
         """The hysteresis reopen mark (``low_water`` or half the high)."""
         return (
             self.low_water if self.low_water is not None
-            else self.high_water // 2
+            else max(1, self.high_water // 2)
         )
 
     @property

@@ -232,50 +232,105 @@ class SchedulingService:
             self._rec.record(obs_events.LostEvent(now, tid, reason))
             self._rec.count("service.lost")
 
-    def _admit(self, entry: _Entry, now: int, window_index: int) -> None:
-        """Route one release through the backpressure gate."""
-        txn = entry.txn
-        if txn.node in self._dead:
-            self._lose(txn.tid, f"node {txn.node} crashed", now)
-            return
-        gone = set(txn.objects) & self._unrecoverable
-        if gone:
-            self._lose(txn.tid, f"objects {sorted(gone)} unrecoverable", now)
-            return
-        self._update_gate()
+    def _admit_all(
+        self, entries: List[_Entry], now: int, window_index: int
+    ) -> None:
+        """Route one window's releases, in order, through the gate.
+
+        A release whose node crashed or one of whose objects is
+        unrecoverable is lost.  While a window admits, the backlog only
+        grows, so once the gate closes it stays closed for the rest of
+        the window: after one gate update the first ``high_water -
+        len(backlog)`` survivors are admitted (none when the gate is
+        closed), and the rest all meet one policy -- deferred, shed with
+        one shared reason, or (strict) an
+        :class:`~repro.errors.OverloadError` naming the first of them,
+        raised once the releases before it are settled.
+        """
+        lost: Dict[int, str] = {}  # position in entries -> reason
+        if self._dead or self._unrecoverable:
+            for i, e in enumerate(entries):
+                if e.txn.node in self._dead:
+                    lost[i] = f"node {e.txn.node} crashed"
+                    continue
+                gone = e.txn.objects & self._unrecoverable
+                if gone:
+                    lost[i] = f"objects {sorted(gone)} unrecoverable"
+        survivors = (
+            [e for i, e in enumerate(entries) if i not in lost]
+            if lost else entries
+        )
+        admit = 0
+        if survivors:
+            self._update_gate()
+            if self._gate_open:
+                admit = min(
+                    len(survivors),
+                    self.config.high_water - len(self._backlog),
+                )
+        denied = survivors[admit:]
         policy = "shed" if self._shedding() else self.config.admission
-        if self._gate_open:
-            entry.eligible_window = max(entry.eligible_window, window_index)
-            self._backlog.append(entry)
-            self._admitted += 1
-            if self._rec.enabled:
-                self._rec.record(obs_events.AdmissionEvent(
-                    now, txn.tid, "admit", len(self._backlog)))
-                self._rec.count("service.admitted")
-            return
-        if policy == "strict":
+        if denied:
+            self._gate_open = False
+            if policy == "strict":
+                # only the releases before the refused one are settled
+                cut = entries.index(denied[0])
+                entries = entries[:cut]
+                lost = {i: r for i, r in lost.items() if i < cut}
+        self._lost.extend((entries[i].txn.tid, r) for i, r in lost.items())
+        base = len(self._backlog)
+        admitted = survivors[:admit]
+        for e in admitted:
+            if e.eligible_window < window_index:
+                e.eligible_window = window_index
+        self._backlog.extend(admitted)
+        self._admitted += admit
+        backlog = len(self._backlog)
+        if denied and policy == "shed":
+            reason = (
+                f"backlog {backlog} >= high-water {self.config.high_water} "
+                f"at window {window_index}"
+            )
+            self._shed.extend((e.txn.tid, reason) for e in denied)
+        elif denied and policy == "defer":
+            self._deferred.extend(denied)
+            self._deferred_admissions += len(denied)
+        if self._rec.enabled:
+            self._record_admissions(entries, lost, base, admit, policy, now)
+        if denied and policy == "strict":
             raise OverloadError(
-                f"window {window_index}: release of transaction {txn.tid} "
-                f"with backlog {len(self._backlog)} >= high-water "
+                f"window {window_index}: release of transaction "
+                f"{denied[0].txn.tid} with backlog {backlog} >= high-water "
                 f"{self.config.high_water}"
             )
-        if policy == "shed":
-            self._shed.append((
-                txn.tid,
-                f"backlog {len(self._backlog)} >= high-water "
-                f"{self.config.high_water} at window {window_index}",
-            ))
-            if self._rec.enabled:
-                self._rec.record(obs_events.AdmissionEvent(
-                    now, txn.tid, "shed", len(self._backlog)))
-                self._rec.count("service.shed")
-            return
-        self._deferred.append(entry)
-        self._deferred_admissions += 1
-        if self._rec.enabled:
-            self._rec.record(obs_events.AdmissionEvent(
-                now, txn.tid, "defer", len(self._backlog)))
-            self._rec.count("service.deferred")
+
+    def _record_admissions(
+        self,
+        entries: List[_Entry],
+        lost: Dict[int, str],
+        base: int,
+        admit: int,
+        policy: str,
+        now: int,
+    ) -> None:
+        """Emit :meth:`_admit_all`'s outcomes as events, in release order."""
+        rec = self._rec
+        admitted = 0
+        for i, e in enumerate(entries):
+            tid = e.txn.tid
+            if i in lost:
+                rec.record(obs_events.LostEvent(now, tid, lost[i]))
+                rec.count("service.lost")
+            elif admitted < admit:
+                admitted += 1
+                rec.record(obs_events.AdmissionEvent(
+                    now, tid, "admit", base + admitted))
+                rec.count("service.admitted")
+            else:
+                rec.record(obs_events.AdmissionEvent(
+                    now, tid, policy, base + admit))
+                rec.count(
+                    "service.shed" if policy == "shed" else "service.deferred")
 
     def _expire(self, now: int) -> None:
         """Drop (or raise on) queued transactions past their deadline."""
@@ -417,15 +472,25 @@ class SchedulingService:
                 self._rec.observe(
                     "service.retry_backoff", policy.wait(e.attempts))
 
-    def _record_commit(self, entry: _Entry, global_time: int) -> None:
-        self._commits[entry.txn.tid] = global_time
-        self._sojourns.append(global_time - entry.release)
+    def _commit_all(
+        self, by_tid: Dict[int, _Entry], commits: Dict[int, int],
+        exec_start: int,
+    ) -> None:
+        """Record a window's commits (window-local times), in tid order."""
+        tids = sorted(commits)
+        times = [exec_start + commits[tid] for tid in tids]
+        sojourns = [
+            time - by_tid[tid].release for tid, time in zip(tids, times)
+        ]
+        self._commits.update(zip(tids, times))
+        self._sojourns.extend(sojourns)
         if self._rec.enabled:
-            self._rec.record(obs_events.CommitEvent(
-                global_time, entry.txn.tid, entry.txn.node,
-                tuple(sorted(entry.txn.objects))))
-            self._rec.count("service.commits")
-            self._rec.observe("service.sojourn", global_time - entry.release)
+            for tid, time, sojourn in zip(tids, times, sojourns):
+                txn = by_tid[tid].txn
+                self._rec.record(obs_events.CommitEvent(
+                    time, tid, txn.node, tuple(sorted(txn.objects))))
+                self._rec.count("service.commits")
+                self._rec.observe("service.sojourn", sojourn)
 
     def _homes_for(self, batch: List[_Entry]) -> Dict[int, int]:
         needed: set[int] = set()
@@ -449,8 +514,7 @@ class SchedulingService:
                 self._homes_for(batch),
             )
             sched = self._scheduler.schedule(instance, self._rng)
-            for tid, ct in sorted(sched.commit_times.items()):
-                self._record_commit(by_tid[tid], exec_start + ct)
+            self._commit_all(by_tid, sched.commit_times, exec_start)
             self._busy_until = exec_start + sched.makespan
             self._busy += sched.makespan
             return
@@ -473,8 +537,7 @@ class SchedulingService:
             self._busy_until = exec_start + self.config.window
             self._busy += self.config.window
             return
-        for tid, ct in sorted(res.commits.items()):
-            self._record_commit(by_tid[tid], exec_start + ct)
+        self._commit_all(by_tid, res.commits, exec_start)
         for tid, reason in res.report.lost:
             self._lose(tid, reason, exec_start)
         makespan = max(res.commits.values(), default=0)
@@ -496,12 +559,11 @@ class SchedulingService:
         # batch runs this window (the node is dead either way)
         self._mark_crashes(arrival_end)
         # deferred releases re-apply first (FIFO), then new arrivals
-        deferred, self._deferred = self._deferred, []
-        for entry in deferred:
-            self._admit(entry, exec_start, window_index)
-        for timed in arrivals:
-            self._admit(_Entry(timed.txn, timed.release), exec_start,
-                        window_index)
+        entries = self._deferred + [
+            _Entry(timed.txn, timed.release) for timed in arrivals
+        ]
+        self._deferred = []
+        self._admit_all(entries, exec_start, window_index)
         self._expire(exec_start)
         batch = self._build_batch(window_index)
         if batch:

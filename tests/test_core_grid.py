@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import GridScheduler, Instance, Transaction
+from test_kernels import _random_homed
+
+from repro.core import GreedyScheduler, GridScheduler, Instance, Transaction
+from repro.core.phasing import PhaseState, run_phase
 from repro.errors import TopologyError
 from repro.network import clique, grid, grid_node
 from repro.sim import execute
@@ -52,10 +55,41 @@ class TestGridScheduler:
         s.validate()
 
     def test_single_subgrid_degenerates_to_greedy_shape(self):
-        rng = np.random.default_rng(4)
-        inst = random_k_subsets(grid(5), w=6, k=2, rng=rng)
-        s = GridScheduler(side=5).schedule(inst)
-        assert s.meta["subgrids"] == 1
+        # one subgrid (the theory side, or any side >= the grid's) is
+        # plain greedy on the instance: the same commits and meta as the
+        # one-phase composition it replaces, unused homed objects included
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            insts = [
+                random_k_subsets(grid(5), w=6, k=2, rng=rng),
+                _random_homed(grid(5), rng, w=8, k=2, unused=2),
+                _random_homed(grid(3, 5), rng, w=6, k=3, unused=1),
+            ]
+            for inst in insts:
+                rows = inst.network.topology.require("rows")
+                cols = inst.network.topology.require("cols")
+                for side in (None, max(rows, cols), max(rows, cols) + 3):
+                    scheduler = GridScheduler(side=side)
+                    chosen = scheduler.subgrid_side(inst)
+                    assert chosen >= max(rows, cols)
+                    s = scheduler.schedule(inst)
+                    state = PhaseState(inst)
+                    phase = run_phase(
+                        state, [t.tid for t in inst.transactions],
+                        GreedyScheduler(),
+                    )
+                    ref = state.finish({
+                        "scheduler": "grid",
+                        "side": chosen,
+                        "subgrids": 1,
+                        "subgrids_executed": 1,
+                        "max_internal_span": phase.makespan,
+                    })
+                    assert s.commit_times == ref.commit_times
+                    assert list(s.commit_times) == list(ref.commit_times)
+                    assert s.meta == ref.meta
+                    assert s.instance is inst
+                    s.validate()
 
     def test_subgrids_execute_sequentially(self):
         # with a forced 2x2 side on a 4x4 grid, the four subgrids' commit

@@ -1,6 +1,8 @@
 """Unit tests for Transaction and Instance (repro.core model layer)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Instance, Transaction
 from repro.errors import InstanceError
@@ -85,6 +87,120 @@ class TestInstanceValidation:
                 [Transaction(0, 0, {0}), Transaction(1, 0, {0})],
                 {0: 0},
             )
+
+
+def _loop_check(network, transactions, object_homes):
+    """The constructor's checks as one per-transaction loop.
+
+    The form the whole-batch checks replaced: the message of the first
+    :class:`InstanceError` it would raise, or None for a valid batch.
+    """
+    homes = {int(o): int(v) for o, v in object_homes.items()}
+    txns = tuple(transactions)
+    if not txns:
+        return "instance must contain at least one transaction"
+    if len(txns) > network.n:
+        return f"{len(txns)} transactions exceed {network.n} nodes"
+    seen_nodes: set = set()
+    seen_tids: set = set()
+    users: dict = {}
+    for t in txns:
+        if t.tid in seen_tids:
+            return f"duplicate transaction id {t.tid}"
+        seen_tids.add(t.tid)
+        if not (0 <= t.node < network.n):
+            return f"transaction {t.tid} placed at node {t.node} outside graph"
+        if t.node in seen_nodes:
+            return f"node {t.node} hosts more than one transaction"
+        seen_nodes.add(t.node)
+        for o in t.objects:
+            users.setdefault(o, []).append(t)
+    for o in users:
+        if o not in homes:
+            return f"object {o} has no home node"
+    for o, v in homes.items():
+        if not (0 <= v < network.n):
+            return f"object {o} home {v} outside graph"
+    return None
+
+
+_FAULTS = ("dup_tid", "dup_node", "node_out", "unhomed", "home_out")
+
+
+@st.composite
+def faulty_batches(draw):
+    """A valid batch with injected faults, alone, combined or repeated."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    net = draw(st.sampled_from([clique(n), line(n)]))
+    w = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=n))
+    nodes = draw(st.permutations(range(n)))[:m]
+    tids = draw(st.lists(st.integers(min_value=0, max_value=50),
+                         min_size=m, max_size=m, unique=True))
+    objs = [
+        draw(st.sets(st.integers(min_value=0, max_value=w - 1),
+                     min_size=1, max_size=w))
+        for _ in range(m)
+    ]
+    homes = {o: draw(st.integers(min_value=0, max_value=n - 1))
+             for o in range(w)}
+    at = st.integers(min_value=0, max_value=m - 1)
+    obj = st.integers(min_value=0, max_value=w - 1)
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=4)):
+        i, j = draw(at), draw(at)
+        if fault == "dup_tid":
+            tids[j] = tids[i]
+        elif fault == "dup_node":
+            nodes[j] = nodes[i]
+        elif fault == "node_out":
+            nodes[j] = draw(st.sampled_from([-1, n, n + 3]))
+        elif fault == "unhomed" and draw(st.booleans()):
+            objs[j] = objs[j] | {w + draw(st.integers(0, 3))}
+        elif fault == "unhomed":
+            for o in draw(st.sets(obj, min_size=1)):
+                homes.pop(o, None)
+        else:
+            homes[draw(obj)] = draw(st.sampled_from([-2, n, n + 1]))
+    txns = [Transaction(t, v, o) for t, v, o in zip(tids, nodes, objs)]
+    return net, txns, homes
+
+
+_T = Transaction
+#: one batch per fault kind on line(3), each the batch's only offence
+_SINGLE_FAULTS = {
+    "dup_tid": ([_T(4, 0, {0}), _T(4, 1, {1})], {0: 0, 1: 2}),
+    "dup_node": ([_T(4, 1, {0}), _T(2, 1, {1})], {0: 0, 1: 2}),
+    "node_below": ([_T(4, -1, {0}), _T(2, 1, {1})], {0: 0, 1: 2}),
+    "node_above": ([_T(4, 0, {0}), _T(2, 3, {1})], {0: 0, 1: 2}),
+    "unhomed": ([_T(4, 0, {0}), _T(2, 1, {5})], {0: 0, 1: 2}),
+    "home_below": ([_T(4, 0, {0}), _T(2, 1, {0, 1})], {0: -2, 1: 0}),
+    "home_above": ([_T(4, 0, {0}), _T(2, 1, {0, 1})], {0: 0, 1: 3}),
+}
+
+
+class TestConstructorMatchesLoop:
+    @pytest.mark.parametrize("fault", sorted(_SINGLE_FAULTS))
+    def test_each_single_fault(self, fault):
+        txns, homes = _SINGLE_FAULTS[fault]
+        expected = _loop_check(line(3), txns, homes)
+        assert expected is not None
+        with pytest.raises(InstanceError) as err:
+            Instance(line(3), txns, homes)
+        assert str(err.value) == expected
+
+    @given(faulty_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_what_the_loop_raises(self, batch):
+        net, txns, homes = batch
+        expected = _loop_check(net, txns, homes)
+        if expected is None:
+            inst = Instance(net, txns, homes)
+            assert inst.transactions == tuple(txns)
+            assert inst.object_homes == homes
+        else:
+            with pytest.raises(InstanceError) as err:
+                Instance(net, txns, homes)
+            assert str(err.value) == expected
 
 
 class TestInstanceAccessors:

@@ -121,6 +121,7 @@ class TestConfig:
             {"low_water": -1},
             {"algo": "incremental"},
             {"algo": "nope"},
+            {"low_water": 0},
         ],
     )
     def test_bad_config_raises(self, kw):
@@ -280,6 +281,21 @@ class TestBackpressure:
         svc._backlog = dummy[:2]
         svc._update_gate()
         assert svc._gate_open  # reopens only below low water
+
+    def test_high_water_one_reopens_and_drains(self):
+        # the default low-water mark is max(1, high_water // 2): with a
+        # high-water mark of 1 the gate reopens on an empty backlog
+        # instead of never, so a finite stream drains
+        svc = SchedulingService(
+            _stream(grid(4), 0.1, limit=20, w=8),
+            ServiceConfig(window=4, high_water=1),
+        )
+        rep = svc.run(max_windows=500)
+        assert rep.windows < 500
+        assert rep.committed == rep.released == 20
+        assert rep.final_backlog == 0
+        assert rep.accounted
+        assert svc.config.effective_low_water == 1
 
 
 class TestDeadlines:

@@ -12,17 +12,25 @@ policies:
   + expired + lost + final_backlog == released`` for any drawn window
   length, watermarks, policy, deadline, and rate -- including runs that
   saturate and flip into shed mode mid-stream.
+
+The service settles each window's admissions and commits in slices;
+:mod:`service_oracle` keeps the one-at-a-time form, and the two must
+agree on the report, the snapshot, the recorded events and any error.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OverloadError
+import service_oracle
+from repro.errors import DeadlineExpiredError, OverloadError, SaturationError
+from repro.faults.plan import FaultPlan, NodeCrash
 from repro.network import clique, grid, line
+from repro.obs import MemoryRecorder
 from repro.online import AdmissionControl, poisson_workload, run_resilient
-from repro.service import ServiceConfig, run_service
+from repro.service import SchedulingService, ServiceConfig, run_service
 from repro.workloads import PoissonStream, root_rng, spawn
 
 _NETS = {"clique": clique(12), "grid": grid(4), "line": line(9)}
@@ -67,7 +75,7 @@ def service_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rate = draw(st.sampled_from([0.3, 0.8, 2.0]))
     window = draw(st.integers(min_value=2, max_value=12))
-    high_water = draw(st.integers(min_value=2, max_value=24))
+    high_water = draw(st.integers(min_value=1, max_value=24))
     policy = draw(st.sampled_from(["defer", "shed"]))
     deadline = draw(st.sampled_from([None, 25, 60]))
     windows = draw(st.integers(min_value=5, max_value=20))
@@ -89,3 +97,82 @@ def test_service_accounting_identity(case):
     assert rep.admitted <= rep.released
     assert len(rep.backlog_curve) == windows
     assert rep.peak_backlog == max(rep.backlog_curve, default=0)
+
+
+@st.composite
+def oracle_cases(draw):
+    topo = draw(st.sampled_from(sorted(_NETS)))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rate = draw(st.sampled_from([0.3, 0.8, 2.0, 4.0]))
+    window = draw(st.integers(min_value=2, max_value=10))
+    high_water = draw(st.integers(min_value=1, max_value=16))
+    low_water = draw(st.sampled_from([None, 1, high_water]))
+    admission = draw(st.sampled_from(["defer", "shed", "strict"]))
+    deadline = draw(st.sampled_from([None, 6, 25]))
+    # a twitchy saturation detector flips the service into shed mode
+    saturating = draw(st.booleans())
+    # None: the batch engine; a list (maybe empty): the reactive engine,
+    # whose node crashes make later releases lost at admission
+    crashes = draw(st.one_of(st.none(), st.lists(
+        st.tuples(st.integers(min_value=0, max_value=15),
+                  st.integers(min_value=1, max_value=40)),
+        max_size=3)))
+    windows = draw(st.integers(min_value=3, max_value=16))
+    recorded = draw(st.booleans())
+    return (topo, seed, rate, window, high_water, low_water, admission,
+            deadline, saturating, crashes, windows, recorded)
+
+
+def _service_outcome(case):
+    """Everything a service run shows: error, report, state, events."""
+    (topo, seed, rate, window, high_water, low_water, admission, deadline,
+     saturating, crashes, windows, recorded) = case
+    net = _NETS[topo]
+    stream = PoissonStream(net, w=8, k=2, rate=rate,
+                           rng=spawn(seed, "oracle", topo))
+    detector = (
+        {"detector_horizon": 2, "slope_threshold": 0.25, "min_backlog": 1}
+        if saturating else {}
+    )
+    cfg = ServiceConfig(window=window, high_water=high_water,
+                        low_water=low_water, admission=admission,
+                        deadline=deadline, **detector)
+    plan = None if crashes is None else FaultPlan(
+        [NodeCrash(node % net.n, time) for node, time in crashes])
+    rec = MemoryRecorder() if recorded else None
+    service = SchedulingService(stream, config=cfg, plan=plan,
+                                rng=np.random.default_rng(seed),
+                                recorder=rec)
+    try:
+        service.run(windows)
+        error = None
+    except (OverloadError, DeadlineExpiredError, SaturationError) as exc:
+        error = (type(exc), str(exc))
+    return (
+        error,
+        service.report(),
+        service.snapshot_state(),
+        None if rec is None else rec.events,
+        None if rec is None else rec.registry.snapshot(),
+    )
+
+
+@given(oracle_cases())
+# high-water 1 deferring under deadlines; saturation shedding after two
+# crashes, low-water at high-water; strict refusal after a crash loss;
+# deferral beside crash losses and expiries; a window with no releases
+# leaves a closed gate closed
+@example(("grid", 5, 4.0, 6, 1, None, "defer", 25, False, None, 10, True))
+@example(("clique", 3, 4.0, 4, 3, 3, "shed", None, True,
+          [(2, 5), (7, 12)], 12, True))
+@example(("grid", 9, 2.0, 5, 2, 1, "strict", None, False,
+          [(0, 3), (5, 4)], 10, True))
+@example(("line", 1, 0.8, 8, 4, None, "defer", 6, False,
+          [(3, 2), (5, 20)], 16, False))
+@example(("line", 62, 0.3, 10, 4, None, "shed", None, False, None, 6, True))
+@settings(max_examples=60, deadline=None)
+def test_admission_and_commit_slices_match_the_oracle(case):
+    sliced = _service_outcome(case)
+    with service_oracle.patched():
+        per_entry = _service_outcome(case)
+    assert sliced == per_entry
