@@ -56,7 +56,9 @@ session-demo:
 	PYTHONPATH=src $(PYTHON) -m repro session --topology grid --size 8 \
 		--window 48 --batch 8 --epochs 50 --seed 7
 
-# run the continuous-arrival service: stable, overloaded, adversarial
+# run the continuous-arrival service: stable, overloaded, adversarial,
+# then stable again under a saved fault plan (a node crash and a link
+# failure), which runs the reactive engine
 service-demo:
 	PYTHONPATH=src $(PYTHON) -m repro service --topology grid --size 4 \
 		--rate 0.5 --windows 40 --seed 7
@@ -64,6 +66,12 @@ service-demo:
 		--rate 3.0 --windows 40 --high-water 24 --seed 7
 	PYTHONPATH=src $(PYTHON) -m repro service --topology clique --size 16 \
 		--stream adversarial --rate 0.6 --burst 4 --windows 40 --seed 7
+	PYTHONPATH=src $(PYTHON) -c "from repro.faults import FaultPlan, \
+		LinkFailure, NodeCrash; from repro.io import save_fault_plan; \
+		save_fault_plan(FaultPlan([NodeCrash(5, 100), \
+		LinkFailure(0, 1, 50, 300)]), 'service-plan.json')"
+	PYTHONPATH=src $(PYTHON) -m repro service --topology grid --size 4 \
+		--rate 0.5 --windows 40 --seed 7 --plan service-plan.json
 
 # the crash-tolerant multi-process cluster: a clean run, then the same
 # run with an injected worker kill -- --parity asserts the recovered
@@ -77,5 +85,5 @@ cluster-demo:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
-	rm -f e1-trace.json e1-trace.csv
+	rm -f e1-trace.json e1-trace.csv service-plan.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

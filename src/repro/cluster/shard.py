@@ -256,14 +256,13 @@ class ShardedStream:
         """Restore a snapshot taken by :meth:`state_dict`."""
         self.base.load_state(state["base"])  # type: ignore[arg-type]
         self._released = int(state["released"])  # type: ignore[arg-type]
-        # pre-1.1.0 snapshots predate the cross counter and assign mode
-        self._cross = int(state.get("cross", 0))  # type: ignore[arg-type]
+        self._cross = int(state["cross"])  # type: ignore[arg-type]
         self.shards = int(state["shards"])  # type: ignore[arg-type]
         self.owned_from = {
             int(c): int(s)
             for c, s in state["owned_from"].items()  # type: ignore[union-attr]
         }
-        assign = str(state.get("assign", self.assign))
+        assign = str(state["assign"])
         if assign != self.assign:
             raise ClusterError(
                 f"snapshot assignment mode {assign!r} does not match this "

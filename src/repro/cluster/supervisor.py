@@ -34,14 +34,16 @@ import multiprocessing as mp
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import ClusterError, HeartbeatTimeoutError, WorkerCrashError
 from ..obs.recorder import Recorder, active
 from ..service import ServiceConfig
+from ..service.report import sojourn_summary
 from .chaos import ChaosPlan
 from .config import ClusterConfig
 from .report import ClusterReport
@@ -50,15 +52,6 @@ from .wire import MSG_DONE, MSG_ERROR, MSG_HELLO, MSG_WINDOW, decode_message
 from .worker import WorkerSpec, worker_main
 
 __all__ = ["run_cluster"]
-
-
-def _percentile(sorted_values: List[int], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return float(sorted_values[rank])
 
 
 _EMPTY_ACCOUNTING = {
@@ -82,7 +75,7 @@ class _Worker:
     )
     replayed: int = 0
     end: Optional[str] = None  # None while live; "done"|"retired"|"shed"
-    sojourns: List[int] = field(default_factory=list)
+    sojourns: Dict[int, int] = field(default_factory=dict)  # value -> count
     final: Optional[Dict[str, int]] = None
 
     @property
@@ -273,7 +266,7 @@ class _Supervisor:
             self.rec.count("cluster.windows")
         elif kind == MSG_DONE:
             state.end = "done"
-            state.sojourns = [int(s) for s in body["sojourns"]]
+            state.sojourns = {int(v): int(c) for v, c in body["sojourns"]}
             state.final = {k: int(v) for k, v in body["accounting"].items()}
             self._reap(state)
         elif kind == MSG_ERROR:
@@ -344,7 +337,7 @@ class _Supervisor:
 
     def merge(self, wall_s: float) -> ClusterReport:
         totals = dict(_EMPTY_ACCOUNTING)
-        sojourns: List[int] = []
+        sojourns: Counter[int] = Counter()
         per_worker: List[Dict[str, Any]] = []
         for state in self.workers:
             final = state.final if state.final is not None else dict(
@@ -352,7 +345,7 @@ class _Supervisor:
             )
             for key, value in final.items():
                 totals[key] += value
-            sojourns.extend(state.sojourns)
+            sojourns.update(state.sojourns)
             per_worker.append({
                 "worker": state.spec.worker,
                 "classes": sorted(state.spec.owned_from),
@@ -368,7 +361,6 @@ class _Supervisor:
                 "restarts": state.restarts,
                 "replayed": state.replayed,
             })
-        sojourns.sort()
         if totals["cross"]:
             self.rec.count("cluster.cross_shard", totals["cross"])
         return ClusterReport(
@@ -385,12 +377,7 @@ class _Supervisor:
             expired=totals["expired"],
             lost=totals["lost"],
             final_backlog=totals["backlog"],
-            sojourn_p50=_percentile(sojourns, 0.50),
-            sojourn_p99=_percentile(sojourns, 0.99),
-            sojourn_mean=(
-                sum(sojourns) / len(sojourns) if sojourns else 0.0
-            ),
-            sojourn_max=max(sojourns, default=0),
+            **sojourn_summary(sojourns),
             per_worker=tuple(per_worker),
             chaos=self.chaos.as_dicts(),
             restarts=self.total_restarts,

@@ -187,7 +187,7 @@ def worker_main(conn: Any, spec: WorkerSpec) -> None:
             "worker": spec.worker,
             "replayed": replayed,
             "report": service.report().to_json(),
-            "sojourns": service.sojourn_samples(),
+            "sojourns": service.sojourn_histogram(),
             "accounting": _accounting(service),
         }))
         conn.close()

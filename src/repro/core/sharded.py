@@ -111,32 +111,13 @@ def cross_shard_ratio(instance: Instance) -> float:
 class ShardedScheduler(Scheduler):
     """Two-phase sharded scheduler (arXiv:2405.15015 style).
 
-    Parameters
-    ----------
-    cross:
-        Cross-phase engine: ``"greedy"`` (deterministic cluster-greedy
-        colouring over the post-intra object positions, the default) or
-        ``"rounds"`` (the §6 randomized activation-round protocol with
-        shards as groups; see :class:`ShardedClusterScheduler`).
-    ln_factor / max_rounds_per_phase:
-        Round-protocol knobs, used only with ``cross="rounds"``.
+    Its cross phase is a deterministic cluster-greedy colouring over the
+    post-intra object positions; :class:`ShardedClusterScheduler` runs
+    the §6 randomized activation rounds there instead.
     """
 
     name = "sharded"
-
-    def __init__(
-        self,
-        cross: str = "greedy",
-        ln_factor: float = 24.0,
-        max_rounds_per_phase: int = 10_000,
-    ) -> None:
-        if cross not in ("greedy", "rounds"):
-            raise ValueError(
-                f"cross must be 'greedy' or 'rounds', got {cross!r}"
-            )
-        self.cross = cross
-        self.ln_factor = ln_factor
-        self.max_rounds_per_phase = max_rounds_per_phase
+    cross_mode = "greedy"
 
     # ------------------------------------------------------------------ #
 
@@ -162,43 +143,15 @@ class ShardedScheduler(Scheduler):
         cross_end = 0
         cross_meta: Dict[str, object] = {}
         if split.cross:
-            if self.cross == "rounds":
-                if rng is None:
-                    rng = np.random.default_rng(0)
-                groups = [
-                    RoundGroup(gid=i, nodes=tuple(m))
-                    for i, m in enumerate(members)
-                ]
-                result = activation_rounds(
-                    instance,
-                    tids=list(split.cross),
-                    positions=positions,
-                    start_time=intra_end,
-                    groups=groups,
-                    travel=net.diameter(),
-                    rng=rng,
-                    max_rounds_per_phase=self.max_rounds_per_phase,
-                    ln_factor=self.ln_factor,
-                )
-                commits.update(result.commits)
-                cross_end = result.end_time - intra_end
-                cross_meta = {
-                    "psi": result.psi,
-                    "rounds_used": result.rounds_used,
-                    "round_duration": result.round_duration,
-                    "fallback_count": result.fallback_count,
-                }
-            else:
-                sub = instance.restrict(list(split.cross), positions)
-                cross_sched = greedy.schedule(sub)
-                for tid, ct in cross_sched.commit_times.items():
-                    commits[tid] = intra_end + ct
-                cross_end = cross_sched.makespan
+            cross_end, cross_meta = self._cross_phase(
+                instance, list(split.cross), positions, intra_end, rng,
+                commits,
+            )
 
         total = split.intra_count + split.cross_count
         meta: Dict[str, object] = {
             "scheduler": self.name,
-            "cross_mode": self.cross,
+            "cross_mode": self.cross_mode,
             "shards": len(members),
             "intra": split.intra_count,
             "cross": split.cross_count,
@@ -210,6 +163,18 @@ class ShardedScheduler(Scheduler):
         meta.update(cross_meta)
         return Schedule(instance, commits, meta)
 
+    def _cross_phase(
+        self, instance: Instance, tids: List[int], positions: Dict[int, int],
+        start: int, rng: np.random.Generator | None, commits: Dict[int, int],
+    ) -> Tuple[int, Dict[str, object]]:
+        """Commit ``tids`` into ``commits`` from ``start``, with the objects
+        at ``positions``; return the phase's length and its meta."""
+        cross_sched = GreedyScheduler().schedule(
+            instance.restrict(tids, positions))
+        for tid, ct in cross_sched.commit_times.items():
+            commits[tid] = start + ct
+        return cross_sched.makespan, {}
+
 
 class ShardedClusterScheduler(ShardedScheduler):
     """Sharded scheduler whose cross phase runs Algorithm-1 rounds.
@@ -217,16 +182,42 @@ class ShardedClusterScheduler(ShardedScheduler):
     Identical intra phase; the cross-shard phase is serialised by the
     §6 randomized activation-round protocol with the shard committees
     as the round groups (round duration budgets the network diameter,
-    covering any inter-shard leg).
+    covering any inter-shard leg).  ``ln_factor`` and
+    ``max_rounds_per_phase`` are the round protocol's knobs.
     """
 
     name = "sharded-cluster"
+    cross_mode = "rounds"
 
     def __init__(
         self, ln_factor: float = 24.0, max_rounds_per_phase: int = 10_000
     ) -> None:
-        super().__init__(
-            cross="rounds",
-            ln_factor=ln_factor,
-            max_rounds_per_phase=max_rounds_per_phase,
+        self.ln_factor = ln_factor
+        self.max_rounds_per_phase = max_rounds_per_phase
+
+    def _cross_phase(
+        self, instance: Instance, tids: List[int], positions: Dict[int, int],
+        start: int, rng: np.random.Generator | None, commits: Dict[int, int],
+    ) -> Tuple[int, Dict[str, object]]:
+        groups = [
+            RoundGroup(gid=i, nodes=tuple(m))
+            for i, m in enumerate(shard_members(instance.network))
+        ]
+        result = activation_rounds(
+            instance,
+            tids=tids,
+            positions=positions,
+            start_time=start,
+            groups=groups,
+            travel=instance.network.diameter(),
+            rng=rng if rng is not None else np.random.default_rng(0),
+            max_rounds_per_phase=self.max_rounds_per_phase,
+            ln_factor=self.ln_factor,
         )
+        commits.update(result.commits)
+        return result.end_time - start, {
+            "psi": result.psi,
+            "rounds_used": result.rounds_used,
+            "round_duration": result.round_duration,
+            "fallback_count": result.fallback_count,
+        }

@@ -41,8 +41,8 @@ class ServiceConfig:
         still reopens on an empty backlog).
     admission:
         What a closed gate does with a release: ``"defer"`` queues it
-        FIFO (nothing lost), ``"shed"`` refuses it permanently with a
-        typed reason, ``"strict"`` raises
+        FIFO (nothing lost), ``"shed"`` refuses it permanently (counted
+        as shed), ``"strict"`` raises
         :class:`~repro.errors.OverloadError`.
     deadline:
         Optional max sojourn (steps since release) before a waiting

@@ -42,6 +42,7 @@ decision -- the same bit-parity standard as every other engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +71,7 @@ from ..online.arrivals import OnlineWorkload, TimedTransaction
 from ..online.resilient import run_resilient
 from ..workloads.streams import ArrivalStream
 from .config import ServiceConfig
-from .report import ServiceReport
+from .report import ServiceReport, sojourn_summary
 from .saturation import SaturationDetector
 
 __all__ = ["SchedulingService", "run_service"]
@@ -91,14 +92,6 @@ class _Entry:
     def priority(self) -> Tuple[int, int]:
         """Timestamp priority: older releases win, tid breaks ties."""
         return (self.release, self.txn.tid)
-
-
-def _percentile(sorted_values: List[int], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(-(-q * len(sorted_values) // 1)))  # ceil
-    return float(sorted_values[min(rank, len(sorted_values)) - 1])
 
 
 class SchedulingService:
@@ -180,10 +173,11 @@ class SchedulingService:
         self._released = 0
         self._admitted = 0
         self._commits: Dict[int, int] = {}  # tid -> global commit time
-        self._sojourns: List[int] = []
-        self._shed: List[Tuple[int, str]] = []
-        self._expired: List[Tuple[int, str]] = []
-        self._lost: List[Tuple[int, str]] = []
+        self._sojourns: Counter[int] = Counter()  # sojourn -> commits
+        # outcome counts; each reason reaches the recorder as an event
+        self._shed = 0
+        self._expired = 0
+        self._lost = 0
         self._deferred_admissions = 0
         self._window_retries = 0
         self._backlog_curve: List[int] = []
@@ -226,8 +220,15 @@ class SchedulingService:
     # admission
     # ------------------------------------------------------------------ #
 
+    def _doomed(self, txn) -> Optional[str]:
+        """Why a crash keeps ``txn`` from ever committing, else ``None``."""
+        if txn.node in self._dead:
+            return f"node {txn.node} crashed"
+        gone = txn.objects & self._unrecoverable
+        return f"objects {sorted(gone)} unrecoverable" if gone else None
+
     def _lose(self, tid: int, reason: str, now: int) -> None:
-        self._lost.append((tid, reason))
+        self._lost += 1
         if self._rec.enabled:
             self._rec.record(obs_events.LostEvent(now, tid, reason))
             self._rec.count("service.lost")
@@ -250,12 +251,9 @@ class SchedulingService:
         lost: Dict[int, str] = {}  # position in entries -> reason
         if self._dead or self._unrecoverable:
             for i, e in enumerate(entries):
-                if e.txn.node in self._dead:
-                    lost[i] = f"node {e.txn.node} crashed"
-                    continue
-                gone = e.txn.objects & self._unrecoverable
-                if gone:
-                    lost[i] = f"objects {sorted(gone)} unrecoverable"
+                reason = self._doomed(e.txn)
+                if reason is not None:
+                    lost[i] = reason
         survivors = (
             [e for i, e in enumerate(entries) if i not in lost]
             if lost else entries
@@ -277,7 +275,7 @@ class SchedulingService:
                 cut = entries.index(denied[0])
                 entries = entries[:cut]
                 lost = {i: r for i, r in lost.items() if i < cut}
-        self._lost.extend((entries[i].txn.tid, r) for i, r in lost.items())
+        self._lost += len(lost)
         base = len(self._backlog)
         admitted = survivors[:admit]
         for e in admitted:
@@ -285,13 +283,8 @@ class SchedulingService:
                 e.eligible_window = window_index
         self._backlog.extend(admitted)
         self._admitted += admit
-        backlog = len(self._backlog)
         if denied and policy == "shed":
-            reason = (
-                f"backlog {backlog} >= high-water {self.config.high_water} "
-                f"at window {window_index}"
-            )
-            self._shed.extend((e.txn.tid, reason) for e in denied)
+            self._shed += len(denied)
         elif denied and policy == "defer":
             self._deferred.extend(denied)
             self._deferred_admissions += len(denied)
@@ -300,8 +293,8 @@ class SchedulingService:
         if denied and policy == "strict":
             raise OverloadError(
                 f"window {window_index}: release of transaction "
-                f"{denied[0].txn.tid} with backlog {backlog} >= high-water "
-                f"{self.config.high_water}"
+                f"{denied[0].txn.tid} with backlog {len(self._backlog)} >= "
+                f"high-water {self.config.high_water}"
             )
 
     def _record_admissions(
@@ -349,7 +342,7 @@ class SchedulingService:
                         raise DeadlineExpiredError(
                             f"transaction {e.txn.tid}: {reason}"
                         )
-                    self._expired.append((e.txn.tid, reason))
+                    self._expired += 1
                     if self._rec.enabled:
                         self._rec.record(
                             obs_events.LostEvent(now, e.txn.tid, reason))
@@ -362,27 +355,33 @@ class SchedulingService:
     # fault-plan slicing
     # ------------------------------------------------------------------ #
 
-    def _mark_crashes(self, span_end: int) -> List[NodeCrash]:
-        """Consume global crashes up to ``span_end``; update dead sets."""
-        fired: List[NodeCrash] = []
+    def _mark_crashes(self, span_end: int, now: int) -> None:
+        """Consume global crashes up to ``span_end``; update dead sets and
+        lose the backlog entries each crash dooms, at its time or at
+        ``now`` if later (deferred entries meet the check at admission).
+        """
         while (
             self._crash_cursor < len(self._crash_seq)
             and self._crash_seq[self._crash_cursor].time < span_end
         ):
-            ev = self._crash_seq[self._crash_cursor]
+            ev = self._crash_seq[self._crash_cursor]  # one per node
             self._crash_cursor += 1
-            if ev.node not in self._dead:
-                self._dead.add(ev.node)
-                fired.append(ev)
-        if fired:
-            newly_dead = {ev.node for ev in fired}
-            for obj, home in self.stream.object_homes.items():
-                if home in newly_dead:
-                    self._unrecoverable.add(obj)
-        return fired
+            self._dead.add(ev.node)
+            self._unrecoverable.update(
+                obj for obj, home in self.stream.object_homes.items()
+                if home == ev.node
+            )
+            keep: List[_Entry] = []
+            for e in self._backlog:
+                reason = self._doomed(e.txn)
+                if reason is None:
+                    keep.append(e)
+                else:
+                    self._lose(e.txn.tid, reason, max(now, ev.time))
+            self._backlog = keep
 
     def _window_plan(
-        self, exec_start: int, crashes: List[NodeCrash]
+        self, exec_start: int, crashes: Tuple[NodeCrash, ...]
     ) -> FaultPlan:
         """The plan's slice for one window, shifted to window-local time.
 
@@ -390,7 +389,8 @@ class SchedulingService:
         ``[exec_start, exec_start + window)`` are clamped and shifted so
         the window's runtime sees them live; an event overrunning the
         window simply reappears in the next slice.  ``crashes`` are the
-        global crash events this window consumes (fired once each).
+        global crashes not yet consumed, later ones included: a batch
+        may run past its window.
 
         Successive batches start no earlier than the previous one ended,
         so ``exec_start`` never decreases from call to call: an event
@@ -456,13 +456,14 @@ class SchedulingService:
         policy = self.config.retry
         for e in batch:
             e.attempts += 1
-            if e.attempts > policy.max_retries:
-                self._lose(
-                    e.txn.tid,
+            reason = self._doomed(e.txn)
+            if reason is None and e.attempts > policy.max_retries:
+                reason = (
                     f"window retry budget exhausted "
-                    f"({policy.max_retries} failed windows)",
-                    now,
+                    f"({policy.max_retries} failed windows)"
                 )
+            if reason is not None:
+                self._lose(e.txn.tid, reason, now)
                 continue
             e.eligible_window = window_index + 1 + policy.wait(e.attempts)
             self._window_retries += 1
@@ -483,7 +484,7 @@ class SchedulingService:
             time - by_tid[tid].release for tid, time in zip(tids, times)
         ]
         self._commits.update(zip(tids, times))
-        self._sojourns.extend(sojourns)
+        self._sojourns.update(sojourns)
         if self._rec.enabled:
             for tid, time, sojourn in zip(tids, times, sojourns):
                 txn = by_tid[tid].txn
@@ -519,8 +520,9 @@ class SchedulingService:
             self._busy += sched.makespan
             return
         # reactive: live fault consumption via run_resilient
-        crashes = self._mark_crashes(exec_start + self.config.window)
-        window_plan = self._window_plan(exec_start, crashes)
+        first = self._crash_cursor
+        self._mark_crashes(exec_start + self.config.window, exec_start)
+        window_plan = self._window_plan(exec_start, self._crash_seq[first:])
         workload = OnlineWorkload(
             self.stream.network,
             [TimedTransaction(release=0, txn=e.txn) for e in batch],
@@ -557,7 +559,7 @@ class SchedulingService:
         self._released += len(arrivals)
         # consume crashes the arrival clock has reached even when no
         # batch runs this window (the node is dead either way)
-        self._mark_crashes(arrival_end)
+        self._mark_crashes(arrival_end, exec_start)
         # deferred releases re-apply first (FIFO), then new arrivals
         entries = self._deferred + [
             _Entry(timed.txn, timed.release) for timed in arrivals
@@ -635,15 +637,15 @@ class SchedulingService:
         return {
             "released": self._released,
             "committed": len(self._commits),
-            "shed": len(self._shed),
-            "expired": len(self._expired),
-            "lost": len(self._lost),
+            "shed": self._shed,
+            "expired": self._expired,
+            "lost": self._lost,
             "backlog": self.queue_length,
         }
 
-    def sojourn_samples(self) -> List[int]:
-        """All commit sojourns so far, ascending (for cluster-wide stats)."""
-        return sorted(self._sojourns)
+    def sojourn_histogram(self) -> List[List[int]]:
+        """Commit sojourns so far as ascending ``[sojourn, count]`` pairs."""
+        return [[v, c] for v, c in sorted(self._sojourns.items())]
 
     @staticmethod
     def _entry_state(e: _Entry) -> Dict[str, object]:
@@ -690,10 +692,10 @@ class SchedulingService:
             "released": self._released,
             "admitted": self._admitted,
             "commits": {str(t): c for t, c in self._commits.items()},
-            "sojourns": list(self._sojourns),
-            "shed": [[t, r] for t, r in self._shed],
-            "expired": [[t, r] for t, r in self._expired],
-            "lost": [[t, r] for t, r in self._lost],
+            "sojourns": self.sojourn_histogram(),
+            "shed": self._shed,
+            "expired": self._expired,
+            "lost": self._lost,
             "deferred_admissions": self._deferred_admissions,
             "window_retries": self._window_retries,
             "backlog_curve": list(self._backlog_curve),
@@ -729,10 +731,10 @@ class SchedulingService:
         self._commits = {
             int(t): int(c) for t, c in state["commits"].items()  # type: ignore[union-attr]
         }
-        self._sojourns = [int(s) for s in state["sojourns"]]  # type: ignore[union-attr]
-        self._shed = [(int(t), str(r)) for t, r in state["shed"]]  # type: ignore[union-attr]
-        self._expired = [(int(t), str(r)) for t, r in state["expired"]]  # type: ignore[union-attr]
-        self._lost = [(int(t), str(r)) for t, r in state["lost"]]  # type: ignore[union-attr]
+        self._sojourns = Counter({int(v): int(c) for v, c in state["sojourns"]})  # type: ignore[union-attr]
+        self._shed = int(state["shed"])  # type: ignore[arg-type]
+        self._expired = int(state["expired"])  # type: ignore[arg-type]
+        self._lost = int(state["lost"])  # type: ignore[arg-type]
         self._deferred_admissions = int(state["deferred_admissions"])  # type: ignore[arg-type]
         self._window_retries = int(state["window_retries"])  # type: ignore[arg-type]
         self._backlog_curve = [int(q) for q in state["backlog_curve"]]  # type: ignore[union-attr]
@@ -765,7 +767,6 @@ class SchedulingService:
 
     def report(self) -> ServiceReport:
         """The run's :class:`ServiceReport` (valid at any window boundary)."""
-        sojourns = sorted(self._sojourns)
         elapsed = max(self._busy_until, self._windows_run * self.config.window)
         return ServiceReport(
             windows=self._windows_run,
@@ -774,21 +775,16 @@ class SchedulingService:
             released=self._released,
             admitted=self._admitted,
             committed=len(self._commits),
-            shed=len(self._shed),
-            expired=len(self._expired),
-            lost=len(self._lost),
+            shed=self._shed,
+            expired=self._expired,
+            lost=self._lost,
             deferred_admissions=self._deferred_admissions,
             window_retries=self._window_retries,
             fault_count=len(self.plan) if self.plan is not None else 0,
             peak_backlog=max(self._backlog_curve, default=0),
             final_backlog=self.queue_length,
             backlog_curve=tuple(self._backlog_curve),
-            sojourn_p50=_percentile(sojourns, 0.50),
-            sojourn_p99=_percentile(sojourns, 0.99),
-            sojourn_mean=(
-                sum(sojourns) / len(sojourns) if sojourns else 0.0
-            ),
-            sojourn_max=max(sojourns, default=0),
+            **sojourn_summary(self._sojourns),
             elapsed=elapsed,
             busy=self._busy,
             saturated_at=self.detector.tripped_at,

@@ -15,12 +15,39 @@ the same versioned JSON envelopes as every other measurement.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from itertools import accumulate
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from ..analysis.report import register_report, report_payload, report_to_json
 
-__all__ = ["ServiceReport"]
+__all__ = ["ServiceReport", "sojourn_summary"]
+
+
+def sojourn_summary(histogram: Mapping[int, int]) -> Dict[str, float]:
+    """A report's ``sojourn_*`` fields from a sojourn value -> count histogram.
+
+    ``sojourn_p50`` and ``sojourn_p99`` take the nearest rank, the value
+    at index ``ceil(q * n) - 1`` of the ``n`` sorted samples;
+    ``sojourn_mean`` and the int ``sojourn_max`` are exact, and all four
+    are zero when the histogram is empty.  :class:`ServiceReport` and the
+    cluster supervisor's merge both take their fields from here.
+    """
+    values = sorted(histogram)
+    cumulative = list(accumulate(histogram[v] for v in values))
+    n = cumulative[-1] if values else 0
+
+    def percentile(q: float) -> float:
+        rank = max(1, int(-(-q * n // 1)))  # ceil
+        return float(values[bisect_left(cumulative, rank)]) if n else 0.0
+
+    return {
+        "sojourn_p50": percentile(0.50),
+        "sojourn_p99": percentile(0.99),
+        "sojourn_mean": sum(v * c for v, c in histogram.items()) / n if n else 0.0,
+        "sojourn_max": values[-1] if values else 0,
+    }
 
 
 @register_report("service")

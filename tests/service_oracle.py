@@ -55,11 +55,7 @@ def _admit(service, entry, now: int, window_index: int) -> None:
             f"{service.config.high_water}"
         )
     if policy == "shed":
-        service._shed.append((
-            txn.tid,
-            f"backlog {len(backlog)} >= high-water "
-            f"{service.config.high_water} at window {window_index}",
-        ))
+        service._shed += 1
         if rec.enabled:
             rec.record(obs_events.AdmissionEvent(
                 now, txn.tid, "shed", len(backlog)))
@@ -75,7 +71,7 @@ def _admit(service, entry, now: int, window_index: int) -> None:
 
 def _record_commit(service, entry, global_time: int) -> None:
     service._commits[entry.txn.tid] = global_time
-    service._sojourns.append(global_time - entry.release)
+    service._sojourns[global_time - entry.release] += 1
     rec = service._rec
     if rec.enabled:
         rec.record(obs_events.CommitEvent(

@@ -258,18 +258,6 @@ class TestShardAssignment:
         ]
         assert b.cross_released == a.cross_released
 
-    def test_pre_cross_snapshot_still_loads(self):
-        # snapshots written before the cross counter lack the key
-        net = self._net()
-        a = ShardedStream(SHARD_STREAM.build(net), 2, {0: 0})
-        a.window(0, 40)
-        state = a.state_dict()
-        del state["cross"]
-        del state["assign"]
-        b = ShardedStream(SHARD_STREAM.build(net), 2, {0: 0})
-        b.load_state(state)
-        assert b.cross_released == 0
-
     def test_assign_mismatch_rejected_on_restore(self):
         net = self._net()
         a = ShardedStream(SHARD_STREAM.build(net), 2, {0: 0}, assign="shard")
@@ -533,6 +521,21 @@ class TestClusterRuns:
             assert getattr(rep, key) == sum(w[key] for w in rep.per_worker)
         assert rep.restarts == 0 and rep.stragglers == 0
         assert all(w["end"] == "done" for w in rep.per_worker)
+
+    def test_one_worker_reports_its_services_sojourns(self):
+        # the supervisor summarizes its workers' merged histogram with
+        # the service's own percentile rule
+        spec = StreamSpec(kind="poisson", w=16, k=2, rate=0.6, seed=1)
+        rep = run_cluster("grid", 3, None, spec, SVC,
+                          quick_config(workers=1, windows=10))
+        own = SchedulingService(
+            ShardedStream(spec.build(grid(3)), 1, {0: 0}), SVC
+        ).run(10)
+        fields = ("sojourn_p50", "sojourn_p99", "sojourn_mean",
+                  "sojourn_max")
+        assert [getattr(rep, f) for f in fields] == [
+            getattr(own, f) for f in fields
+        ]
 
     def test_repeat_runs_bit_identical(self):
         a = run_cluster("grid", 3, None, STREAM, SVC, quick_config())

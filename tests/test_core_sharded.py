@@ -101,18 +101,18 @@ class TestShardedScheduler:
         with pytest.raises(TopologyError):
             ShardedScheduler().schedule(inst, rng)
 
-    def test_invalid_cross_mode(self):
-        with pytest.raises(ValueError, match="cross"):
-            ShardedScheduler(cross="quantum")
-
-    @pytest.mark.parametrize("cross_mode", ["greedy", "rounds"])
-    def test_feasible_both_cross_modes(self, cross_mode):
+    @pytest.mark.parametrize(
+        "cls", [ShardedScheduler, ShardedClusterScheduler],
+        ids=["greedy", "rounds"],
+    )
+    def test_feasible_both_cross_modes(self, cls):
         inst = sharded_instance(seed=5)
         rng = np.random.default_rng(5)
-        s = ShardedScheduler(cross=cross_mode).schedule(inst, rng)
+        s = cls().schedule(inst, rng)
         s.validate()
         execute(s)
-        assert s.meta["cross_mode"] == cross_mode
+        assert s.meta["cross_mode"] == cls.cross_mode
+        assert s.meta["cross"] > 0
 
     def test_meta_records_phase_composition(self):
         inst = sharded_instance(cross=0.4, seed=6)

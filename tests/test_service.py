@@ -10,6 +10,7 @@ on the empty plan, recorder bit-parity, and JSON round-trips through the
 report registry.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.faults.plan import (
 from repro.network import TOPOLOGY_INFO, clique, grid, line
 from repro.network.registry import network_from_sizes
 from repro.obs import MemoryRecorder
+from repro.obs.events import LostEvent
 from repro.online.arrivals import OnlineWorkload
 from repro.service import (
     SaturationDetector,
@@ -236,6 +238,27 @@ class TestServiceBasics:
         text = rep.render()
         assert "never saturated" in text and "committed" in text
 
+    @pytest.mark.parametrize("windows", [8, 64])
+    def test_state_keeps_counts_not_histories(self, windows):
+        # the snapshot's sojourns are one [value, count] pair per
+        # distinct sojourn, so a stable service's state stops growing
+        net = grid(4)
+        svc = SchedulingService(_stream(net, 0.5), ServiceConfig(window=8))
+        rep = svc.run(windows)
+        assert not rep.saturated
+        state = svc.snapshot_state()
+        release = {
+            tt.txn.tid: tt.release
+            for tt in _stream(net, 0.5).window(0, 8 * windows)
+        }
+        sojourns = collections.Counter(
+            t - release[int(tid)] for tid, t in state["commits"].items()
+        )
+        assert state["sojourns"] == sorted(map(list, sojourns.items()))
+        assert len(state["sojourns"]) < rep.committed
+        for key in ("shed", "expired", "lost"):
+            assert type(state[key]) is int
+
 
 class TestBackpressure:
     def test_shed_bounds_the_backlog(self):
@@ -329,13 +352,54 @@ class TestFaults:
         net = grid(4)
         stream = _stream(net, 0.6, limit=60)
         dead = stream.object_homes[0]
-        svc = SchedulingService(stream, plan=FaultPlan([NodeCrash(dead, 20)]))
+        rec = MemoryRecorder()
+        svc = SchedulingService(stream, plan=FaultPlan([NodeCrash(dead, 20)]),
+                                recorder=rec)
         svc.run()
         state = svc.snapshot_state()
         assert state["unrecoverable"] == sorted(
             o for o, home in stream.object_homes.items() if home == dead
         )
-        assert any("unrecoverable" in reason for _, reason in state["lost"])
+        lost = [e for e in rec.events if e.kind == "lost"]
+        assert len({e.tid for e in lost}) == state["lost"]
+        assert any("unrecoverable" in e.reason for e in lost)
+
+    def test_a_crash_loses_the_backlog_it_dooms(self):
+        # tid 4 waits on node 3 behind tid 0 (one transaction per node
+        # per batch) when node 3 crashes mid-window 0: the crash loses it
+        # from the backlog, so it never commits on the dead node
+        def stream():
+            return PoissonStream(grid(3), w=8, k=2, rate=1.2,
+                                 rng=spawn(0, "p"), limit=80)
+
+        rec = MemoryRecorder()
+        svc = SchedulingService(
+            stream(),
+            ServiceConfig(window=4, high_water=64, slope_threshold=1000.0),
+            plan=FaultPlan([NodeCrash(3, 5)]), recorder=rec,
+        )
+        assert svc.run().accounted
+        assert LostEvent(5, 4, "node 3 crashed") in rec.events
+        node_of = {tt.txn.tid: tt.txn.node for tt in stream().take(80)}
+        late = [
+            tid for tid, t in svc.snapshot_state()["commits"].items()
+            if node_of[int(tid)] == 3 and t >= 5
+        ]
+        assert late == []
+
+    def test_a_failed_window_loses_what_its_crash_doomed(self):
+        # node 1 crashes while window 0's batch runs, then the cut link
+        # fails the window: tid 1 must not be requeued and commit on the
+        # dead node once the link heals
+        plan = FaultPlan([LinkFailure(2, 3, 0, 40), NodeCrash(1, 17)])
+        cfg = ServiceConfig(retry=RetryPolicy(max_retries=2, max_wait=2))
+        svc = SchedulingService(
+            _BurstOnceStream(line(5), count=5, rng=spawn(11, "burst")),
+            cfg, plan=plan,
+        )
+        rep = svc.run()
+        assert (rep.committed, rep.lost, rep.window_retries) == (4, 1, 4)
+        assert "1" not in svc.snapshot_state()["commits"]
 
     def test_window_retry_backs_off_then_drops(self):
         # a permanent partition on a line: object 0 lives across the cut,

@@ -123,13 +123,24 @@ def oracle_cases(draw):
             deadline, saturating, crashes, windows, recorded)
 
 
+def _oracle_stream(case):
+    topo, seed, rate = case[:3]
+    return PoissonStream(_NETS[topo], w=8, k=2, rate=rate,
+                         rng=spawn(seed, "oracle", topo))
+
+
+def _crash_plan(case):
+    topo, crashes = case[0], case[9]
+    n = _NETS[topo].n
+    return None if crashes is None else FaultPlan(
+        [NodeCrash(node % n, time) for node, time in crashes])
+
+
 def _service_outcome(case):
     """Everything a service run shows: error, report, state, events."""
     (topo, seed, rate, window, high_water, low_water, admission, deadline,
      saturating, crashes, windows, recorded) = case
-    net = _NETS[topo]
-    stream = PoissonStream(net, w=8, k=2, rate=rate,
-                           rng=spawn(seed, "oracle", topo))
+    stream = _oracle_stream(case)
     detector = (
         {"detector_horizon": 2, "slope_threshold": 0.25, "min_backlog": 1}
         if saturating else {}
@@ -137,10 +148,8 @@ def _service_outcome(case):
     cfg = ServiceConfig(window=window, high_water=high_water,
                         low_water=low_water, admission=admission,
                         deadline=deadline, **detector)
-    plan = None if crashes is None else FaultPlan(
-        [NodeCrash(node % net.n, time) for node, time in crashes])
     rec = MemoryRecorder() if recorded else None
-    service = SchedulingService(stream, config=cfg, plan=plan,
+    service = SchedulingService(stream, config=cfg, plan=_crash_plan(case),
                                 rng=np.random.default_rng(seed),
                                 recorder=rec)
     try:
@@ -161,7 +170,8 @@ def _service_outcome(case):
 # high-water 1 deferring under deadlines; saturation shedding after two
 # crashes, low-water at high-water; strict refusal after a crash loss;
 # deferral beside crash losses and expiries; a window with no releases
-# leaves a closed gate closed
+# leaves a closed gate closed; a batch running past its window into a
+# crash on its node
 @example(("grid", 5, 4.0, 6, 1, None, "defer", 25, False, None, 10, True))
 @example(("clique", 3, 4.0, 4, 3, 3, "shed", None, True,
           [(2, 5), (7, 12)], 12, True))
@@ -170,9 +180,22 @@ def _service_outcome(case):
 @example(("line", 1, 0.8, 8, 4, None, "defer", 6, False,
           [(3, 2), (5, 20)], 16, False))
 @example(("line", 62, 0.3, 10, 4, None, "shed", None, False, None, 6, True))
+@example(("line", 2_147_483_646, 0.3, 2, 1, None, "defer", None, False,
+          [(0, 4)], 3, False))
 @settings(max_examples=60, deadline=None)
 def test_admission_and_commit_slices_match_the_oracle(case):
     sliced = _service_outcome(case)
     with service_oracle.patched():
         per_entry = _service_outcome(case)
     assert sliced == per_entry
+    plan = _crash_plan(case)
+    if plan is not None:
+        # no commit lands on a node at or after its crash
+        window, windows = case[3], case[10]
+        node_of = {
+            tt.txn.tid: tt.txn.node
+            for tt in _oracle_stream(case).window(0, window * windows)
+        }
+        crashed_at = {ev.node: ev.time for ev in plan.crash_events}
+        for tid, time in sliced[2]["commits"].items():
+            assert time < crashed_at.get(node_of[int(tid)], time + 1), tid
