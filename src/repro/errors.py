@@ -19,8 +19,6 @@ __all__ = [
     "RecoveryError",
     "OverloadError",
     "ServiceError",
-    "DeadlineExpiredError",
-    "SaturationError",
     "StaticCheckError",
     "LintError",
     "CertificationError",
@@ -112,35 +110,18 @@ class OverloadError(ReproError):
 
 
 class ServiceError(ReproError):
-    """Base class for continuous-arrival service failures.
+    """The continuous-arrival service was misconfigured or misused.
 
     Raised by the long-lived scheduling service (:mod:`repro.service`)
-    when a robustness policy is configured to *fail* rather than degrade:
-    deadline expiry in strict mode (:class:`DeadlineExpiredError`) or
-    saturation in strict mode (:class:`SaturationError`).  The graceful
-    defaults never raise -- expired and shed transactions are counted in
-    the :class:`~repro.service.report.ServiceReport` instead.
-    """
-
-
-class DeadlineExpiredError(ServiceError):
-    """A transaction's sojourn exceeded its deadline before it committed.
-
-    Raised by the scheduling service only when configured with
-    ``on_expiry="strict"``; under the default ``"drop"`` policy the
-    expired transaction is removed from the backlog and counted in the
-    service report with a typed reason, and the service keeps running.
-    """
-
-
-class SaturationError(ServiceError):
-    """The saturation detector declared the service unstable.
-
-    Raised by the scheduling service only when configured with
-    ``on_saturation="strict"``: the queue-growth regression over the
-    sliding horizon crossed the slope threshold while the backlog sat
-    above the arming floor.  Under the default ``"shed"`` policy the
-    service flips into load-shedding mode instead and keeps running.
+    for a bad :class:`~repro.service.ServiceConfig` or detector setting
+    (caught when it is built, before any window runs) and for a bad
+    call: a window count below one, an unbounded stream without one, or
+    a restore or skip on a service that has already run.  Overload,
+    expiry and saturation never raise it: the service degrades instead,
+    counting shed and expired transactions in the
+    :class:`~repro.service.report.ServiceReport` (only
+    ``admission="strict"`` refuses a release, with
+    :class:`OverloadError`).
     """
 
 

@@ -38,7 +38,6 @@ def _config(window: int) -> ServiceConfig:
         admission="defer",
         detector_horizon=6,
         slope_threshold=0.4,
-        on_saturation="shed",
     )
 
 

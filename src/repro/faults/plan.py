@@ -170,7 +170,10 @@ class FaultPlan:
             if isinstance(e, LinkFailure):
                 if e.start < 0 or (e.end is not None and e.end <= e.start):
                     raise FaultError(f"bad link-failure window: {e}")
-                evs.append(LinkFailure(*_edge(e.u, e.v), e.start, e.end))
+                evs.append(
+                    e if e.u <= e.v
+                    else LinkFailure(e.v, e.u, e.start, e.end)
+                )
             elif isinstance(e, NodeCrash):
                 if e.time < 0:
                     raise FaultError(f"bad crash time: {e}")
@@ -182,7 +185,10 @@ class FaultPlan:
             elif isinstance(e, DelaySpike):
                 if e.start < 0 or e.end <= e.start or e.factor < 1.0:
                     raise FaultError(f"bad delay spike: {e}")
-                evs.append(DelaySpike(*_edge(e.u, e.v), e.start, e.end, e.factor))
+                evs.append(
+                    e if e.u <= e.v
+                    else DelaySpike(e.v, e.u, e.start, e.end, e.factor)
+                )
             else:
                 raise FaultError(f"unknown fault event type: {type(e).__name__}")
         self.events: Tuple[FaultEvent, ...] = tuple(evs)

@@ -1,7 +1,7 @@
 """Service configuration: one validated knob set for the whole loop.
 
 :class:`ServiceConfig` bundles every robustness policy the service
-applies -- window length, backpressure watermarks and admission policy,
+applies -- window length, the backpressure mark and admission policy,
 per-transaction deadlines, the bounded retry policy for failed windows,
 and the saturation detector's regression parameters.  Validation happens
 at construction so a bad configuration fails before the first window,
@@ -20,8 +20,6 @@ from ..faults.backoff import RetryPolicy
 __all__ = ["ServiceConfig"]
 
 _ADMISSION_POLICIES = ("defer", "shed", "strict")
-_EXPIRY_POLICIES = ("drop", "strict")
-_SATURATION_POLICIES = ("shed", "strict")
 
 
 @dataclass(frozen=True)
@@ -33,12 +31,12 @@ class ServiceConfig:
     window:
         Arrival-window length in time steps; each window's arrivals are
         batched and scheduled together.
-    high_water / low_water:
-        Backpressure watermarks on the backlog (pending + deferred).
+    high_water:
+        Backpressure mark on the backlog (pending + deferred).
         Admission closes when the backlog reaches ``high_water`` and --
-        hysteresis -- reopens only once it drains below ``low_water``
-        (default ``max(1, high_water // 2)``, so a high-water mark of 1
-        still reopens on an empty backlog).
+        hysteresis -- reopens only once it drains below
+        :attr:`drain_mark`, ``max(1, high_water // 2)`` (so a high-water
+        mark of 1 still reopens on an empty backlog).
     admission:
         What a closed gate does with a release: ``"defer"`` queues it
         FIFO (nothing lost), ``"shed"`` refuses it permanently (counted
@@ -46,10 +44,8 @@ class ServiceConfig:
         :class:`~repro.errors.OverloadError`.
     deadline:
         Optional max sojourn (steps since release) before a waiting
-        transaction expires; ``None`` disables expiry.
-    on_expiry:
-        ``"drop"`` counts the expiry in the report; ``"strict"`` raises
-        :class:`~repro.errors.DeadlineExpiredError`.
+        transaction expires, counted in the report; ``None`` disables
+        expiry.
     retry:
         Bounded deterministic backoff applied both *inside* windows (hop
         retries in the reactive engine) and *across* windows: a window
@@ -57,16 +53,12 @@ class ServiceConfig:
         the backlog and backs off ``retry.wait(attempt)`` windows; a
         transaction exceeding ``retry.max_retries`` failed windows is
         dropped with a typed reason.
-    detector_horizon / slope_threshold / min_backlog:
+    detector_horizon / slope_threshold:
         The saturation detector's sliding regression: over the last
         ``detector_horizon`` windows, a backlog-growth slope above
         ``slope_threshold`` (transactions per window) with the backlog at
-        or above ``min_backlog`` (default ``high_water // 2``) declares
-        saturation.
-    on_saturation:
-        ``"shed"`` flips the service into load-shedding mode until the
-        backlog drains; ``"strict"`` raises
-        :class:`~repro.errors.SaturationError`.
+        or above :attr:`drain_mark` declares saturation, and the service
+        sheds load until the backlog drains below it.
     algo:
         The scheduler the batch engine (the engine of a service without
         a fault plan) runs on each window: ``"auto"`` picks the paper's
@@ -76,14 +68,10 @@ class ServiceConfig:
 
     window: int = 16
     high_water: int = 64
-    low_water: Optional[int] = None
     deadline: Optional[int] = None
-    on_expiry: str = "drop"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     detector_horizon: int = 8
     slope_threshold: float = 0.5
-    min_backlog: Optional[int] = None
-    on_saturation: str = "shed"
     algo: str = "auto"
     admission: str = "defer"
 
@@ -94,12 +82,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"high_water must be >= 1, got {self.high_water}"
             )
-        if self.low_water is not None and not (
-            1 <= self.low_water <= self.high_water
-        ):
-            raise ServiceError(
-                f"low_water must be in [1, high_water], got {self.low_water}"
-            )
         if self.admission not in _ADMISSION_POLICIES:
             raise ServiceError(
                 f"unknown admission policy {self.admission!r}; choose from "
@@ -108,11 +90,6 @@ class ServiceConfig:
         if self.deadline is not None and self.deadline < 1:
             raise ServiceError(
                 f"deadline must be >= 1 steps, got {self.deadline}"
-            )
-        if self.on_expiry not in _EXPIRY_POLICIES:
-            raise ServiceError(
-                f"unknown expiry policy {self.on_expiry!r}; choose from "
-                f"{_EXPIRY_POLICIES}"
             )
         if self.detector_horizon < 2:
             raise ServiceError(
@@ -123,15 +100,6 @@ class ServiceConfig:
                 f"slope_threshold must be positive, got "
                 f"{self.slope_threshold}"
             )
-        if self.min_backlog is not None and self.min_backlog < 1:
-            raise ServiceError(
-                f"min_backlog must be >= 1, got {self.min_backlog}"
-            )
-        if self.on_saturation not in _SATURATION_POLICIES:
-            raise ServiceError(
-                f"unknown saturation policy {self.on_saturation!r}; choose "
-                f"from {_SATURATION_POLICIES}"
-            )
         if self.algo != "auto" and self.algo not in SCHEDULER_INFO:
             raise ServiceError(
                 f"unknown scheduler {self.algo!r}; choose 'auto' or one of "
@@ -139,17 +107,10 @@ class ServiceConfig:
             )
 
     @property
-    def effective_low_water(self) -> int:
-        """The hysteresis reopen mark (``low_water`` or half the high)."""
-        return (
-            self.low_water if self.low_water is not None
-            else max(1, self.high_water // 2)
-        )
+    def drain_mark(self) -> int:
+        """The mark the backlog must drain below: ``max(1, high_water // 2)``.
 
-    @property
-    def effective_min_backlog(self) -> int:
-        """The detector's arming floor (``min_backlog`` or half the high)."""
-        return (
-            self.min_backlog if self.min_backlog is not None
-            else max(1, self.high_water // 2)
-        )
+        The gate reopens below it, and the saturation detector arms at
+        or above it.
+        """
+        return max(1, self.high_water // 2)

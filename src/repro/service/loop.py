@@ -14,17 +14,17 @@ engines, chosen by whether a fault plan is attached:
   commits;
 * **reactive** (a plan, even the empty ``FaultPlan()``) -- the window
   runs through the fault-aware :func:`~repro.online.run_resilient`
-  runtime, consuming the plan's slice for that span live (hop retries,
-  reroutes, lease recovery).
+  runtime on the service's own clock, consuming live every plan event
+  that starts before the batch's last commit (hop retries, reroutes,
+  lease recovery).
 
 Robustness around the engines:
 
-* **backpressure** -- high/low-watermark admission with hysteresis:
-  ``defer`` (FIFO overflow queue), ``shed`` (typed refusal), or
-  ``strict`` (:class:`~repro.errors.OverloadError`);
+* **backpressure** -- high-water admission with hysteresis down to
+  the derived drain mark: ``defer`` (FIFO overflow queue), ``shed``
+  (typed refusal), or ``strict`` (:class:`~repro.errors.OverloadError`);
 * **deadlines** -- transactions whose sojourn exceeds the configured
-  deadline expire with a typed reason (or raise
-  :class:`~repro.errors.DeadlineExpiredError` in strict mode);
+  deadline expire with a typed reason;
 * **bounded window retry** -- a window whose execution hits an
   unabsorbable fault returns its batch to the backlog and backs off a
   bounded, deterministic number of windows
@@ -32,8 +32,7 @@ Robustness around the engines:
   the budget are dropped with a typed reason, never silently;
 * **saturation detection** -- a queue-growth regression
   (:class:`~repro.service.saturation.SaturationDetector`) flips the
-  service into shed mode before queues diverge (or raises
-  :class:`~repro.errors.SaturationError` in strict mode).
+  service into shed mode before queues diverge.
 
 Everything is deterministic given the stream's seed and the plan, and
 recording through a :class:`~repro.obs.Recorder` never changes a
@@ -50,21 +49,8 @@ import numpy as np
 from ..core.dispatch import resolve_scheduler
 from ..core.instance import Instance
 from ..core.scheduler import Scheduler
-from ..errors import (
-    DeadlineExpiredError,
-    FaultError,
-    OverloadError,
-    SaturationError,
-    SchedulingError,
-    ServiceError,
-)
-from ..faults.plan import (
-    DelaySpike,
-    FaultPlan,
-    LinkFailure,
-    NodeCrash,
-    ObjectStall,
-)
+from ..errors import FaultError, OverloadError, SchedulingError, ServiceError
+from ..faults.plan import FaultPlan, NodeCrash
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, active
 from ..online.arrivals import OnlineWorkload, TimedTransaction
@@ -106,8 +92,7 @@ class SchedulingService:
         explicit window count.
     config:
         Robustness policies (defaults: 16-step windows, defer
-        backpressure at high-water 64, no deadlines, shed on
-        saturation).
+        backpressure at high-water 64, no deadlines).
     plan:
         Optional live :class:`~repro.faults.plan.FaultPlan` on the
         service's global clock.  Attaching one (``FaultPlan()`` for a
@@ -145,7 +130,7 @@ class SchedulingService:
         self.detector = SaturationDetector(
             horizon=self.config.detector_horizon,
             slope_threshold=self.config.slope_threshold,
-            min_backlog=self.config.effective_min_backlog,
+            min_backlog=self.config.drain_mark,
         )
         # queues and gate
         self._backlog: List[_Entry] = []
@@ -199,21 +184,12 @@ class SchedulingService:
         """Arrival windows processed so far (the next window's index)."""
         return self._windows_run
 
-    @property
-    def dead_nodes(self) -> frozenset[int]:
-        """Nodes whose compute plane has crashed so far."""
-        return frozenset(self._dead)
-
-    def _shedding(self) -> bool:
-        """True while the saturation detector forces shed mode."""
-        return self.detector.saturated and self.config.on_saturation == "shed"
-
     def _update_gate(self) -> None:
         """Watermark hysteresis on the pending backlog."""
         if self._gate_open:
             if len(self._backlog) >= self.config.high_water:
                 self._gate_open = False
-        elif len(self._backlog) < self.config.effective_low_water:
+        elif len(self._backlog) < self.config.drain_mark:
             self._gate_open = True
 
     # ------------------------------------------------------------------ #
@@ -267,7 +243,7 @@ class SchedulingService:
                     self.config.high_water - len(self._backlog),
                 )
         denied = survivors[admit:]
-        policy = "shed" if self._shedding() else self.config.admission
+        policy = "shed" if self.detector.saturated else self.config.admission
         if denied:
             self._gate_open = False
             if policy == "strict":
@@ -326,7 +302,7 @@ class SchedulingService:
                     "service.shed" if policy == "shed" else "service.deferred")
 
     def _expire(self, now: int) -> None:
-        """Drop (or raise on) queued transactions past their deadline."""
+        """Drop queued transactions past their deadline."""
         deadline = self.config.deadline
         if deadline is None:
             return
@@ -334,18 +310,13 @@ class SchedulingService:
             keep: List[_Entry] = []
             for e in queue:
                 if now - e.release > deadline:
-                    reason = (
-                        f"deadline expired: sojourn {now - e.release} > "
-                        f"{deadline} steps"
-                    )
-                    if self.config.on_expiry == "strict":
-                        raise DeadlineExpiredError(
-                            f"transaction {e.txn.tid}: {reason}"
-                        )
                     self._expired += 1
                     if self._rec.enabled:
-                        self._rec.record(
-                            obs_events.LostEvent(now, e.txn.tid, reason))
+                        self._rec.record(obs_events.LostEvent(
+                            now, e.txn.tid,
+                            f"deadline expired: sojourn {now - e.release} "
+                            f"> {deadline} steps",
+                        ))
                         self._rec.count("service.expired")
                 else:
                     keep.append(e)
@@ -356,9 +327,10 @@ class SchedulingService:
     # ------------------------------------------------------------------ #
 
     def _mark_crashes(self, span_end: int, now: int) -> None:
-        """Consume global crashes up to ``span_end``; update dead sets and
-        lose the backlog entries each crash dooms, at its time or at
-        ``now`` if later (deferred entries meet the check at admission).
+        """Consume global crashes up to ``span_end``; record each at its
+        own time, update dead sets and lose the backlog entries each
+        crash dooms, at its time or at ``now`` if later (deferred entries
+        meet the check at admission).
         """
         while (
             self._crash_cursor < len(self._crash_seq)
@@ -366,6 +338,8 @@ class SchedulingService:
         ):
             ev = self._crash_seq[self._crash_cursor]  # one per node
             self._crash_cursor += 1
+            if self._rec.enabled:
+                self._rec.record(obs_events.CrashEvent(ev.time, ev.node))
             self._dead.add(ev.node)
             self._unrecoverable.update(
                 obj for obj, home in self.stream.object_homes.items()
@@ -381,52 +355,34 @@ class SchedulingService:
             self._backlog = keep
 
     def _window_plan(
-        self, exec_start: int, crashes: Tuple[NodeCrash, ...]
+        self, release: int, until: int, crashes: Tuple[NodeCrash, ...]
     ) -> FaultPlan:
-        """The plan's slice for one window, shifted to window-local time.
+        """The plan events a batch released at ``release`` runs against.
 
-        Windowed events (failures, stalls, spikes) that overlap
-        ``[exec_start, exec_start + window)`` are clamped and shifted so
-        the window's runtime sees them live; an event overrunning the
-        window simply reappears in the next slice.  ``crashes`` are the
-        global crashes not yet consumed, later ones included: a batch
-        may run past its window.
+        These are the plan's own windowed events (failures, stalls,
+        spikes) that start before ``until`` and are still live at
+        ``release``, in plan order, then ``crashes``: the global crashes
+        not yet consumed, later ones included.
 
         Successive batches start no earlier than the previous one ended,
-        so ``exec_start`` never decreases from call to call: an event
-        that ended before one window is done with for good, and the slice
-        costs the live events, not the whole plan.
+        and a batch only raises its ``until``, so neither bound ever
+        decreases: an event that ended before one batch is done with for
+        good, and the slice costs the live events, not the whole plan.
         """
-        span_end = exec_start + self.config.window
         queue = self._plan_queue
         while (
             self._plan_cursor < len(queue)
-            and queue[self._plan_cursor][0] < span_end
+            and queue[self._plan_cursor][0] < until
         ):
             _, index, event = queue[self._plan_cursor]
             self._plan_live.append((index, event))
             self._plan_cursor += 1
         self._plan_live = [
             (i, e) for i, e in self._plan_live
-            if e.end is None or e.end > exec_start
+            if e.end is None or e.end > release
         ]
-        events: List[object] = []
-        for _, e in sorted(self._plan_live):  # plan order
-            end = e.end
-            rel_start = max(1, e.start - exec_start)
-            rel_end = None if end is None else end - exec_start
-            if rel_end is not None and rel_end <= rel_start:
-                continue
-            if isinstance(e, LinkFailure):
-                events.append(LinkFailure(e.u, e.v, rel_start, rel_end))
-            elif isinstance(e, ObjectStall):
-                events.append(ObjectStall(e.obj, rel_start, rel_end))
-            elif isinstance(e, DelaySpike):
-                events.append(
-                    DelaySpike(e.u, e.v, rel_start, rel_end, e.factor))
-        for ev in crashes:
-            events.append(NodeCrash(ev.node, max(1, ev.time - exec_start)))
-        return FaultPlan(events)
+        live = [e for _, e in sorted(self._plan_live)]  # plan order
+        return FaultPlan(live + list(crashes))
 
     # ------------------------------------------------------------------ #
     # window execution
@@ -475,11 +431,12 @@ class SchedulingService:
 
     def _commit_all(
         self, by_tid: Dict[int, _Entry], commits: Dict[int, int],
-        exec_start: int,
+        offset: int,
     ) -> None:
-        """Record a window's commits (window-local times), in tid order."""
+        """Record a window's commits, in tid order, at ``commits`` plus
+        ``offset`` on the service's clock."""
         tids = sorted(commits)
-        times = [exec_start + commits[tid] for tid in tids]
+        times = [offset + commits[tid] for tid in tids]
         sojourns = [
             time - by_tid[tid].release for tid, time in zip(tids, times)
         ]
@@ -519,32 +476,44 @@ class SchedulingService:
             self._busy_until = exec_start + sched.makespan
             self._busy += sched.makespan
             return
-        # reactive: live fault consumption via run_resilient
-        first = self._crash_cursor
+        # reactive: run_resilient on the service's clock, the batch
+        # released at the first step a commit can land; the service
+        # records its outcomes, so the run gets no recorder
+        first_crash = self._crash_cursor
         self._mark_crashes(exec_start + self.config.window, exec_start)
-        window_plan = self._window_plan(exec_start, self._crash_seq[first:])
+        crashes = self._crash_seq[first_crash:]
+        release = exec_start + 1
         workload = OnlineWorkload(
             self.stream.network,
-            [TimedTransaction(release=0, txn=e.txn) for e in batch],
+            [TimedTransaction(release=release, txn=e.txn) for e in batch],
             self._homes_for(batch),
         )
-        try:
-            res = run_resilient(
-                workload, window_plan, policy=self.config.retry,
-                recorder=self._rec if self._rec.enabled else None,
-            )
-        except FaultError:
-            # unabsorbable fault: burn the window, back off, retry bounded
-            self._requeue_failed(batch, window_index, exec_start)
-            self._busy_until = exec_start + self.config.window
-            self._busy += self.config.window
-            return
-        self._commit_all(by_tid, res.commits, exec_start)
+        until = exec_start + self.config.window
+        while True:
+            try:
+                res = run_resilient(
+                    workload, self._window_plan(release, until, crashes),
+                    policy=self.config.retry,
+                )
+            except FaultError:
+                # unabsorbable fault: burn the window, back off, retry bounded
+                self._requeue_failed(batch, window_index, exec_start)
+                self._busy_until = exec_start + self.config.window
+                self._busy += self.config.window
+                return
+            last = max(res.commits.values(), default=exec_start)
+            # the batch meets every event that starts before its last
+            # commit: one that starts in the run's overrun joins the
+            # slice, and the batch reruns
+            queue, cursor = self._plan_queue, self._plan_cursor
+            if cursor == len(queue) or queue[cursor][0] >= last:
+                break
+            until = last
+        self._commit_all(by_tid, res.commits, 0)
         for tid, reason in res.report.lost:
             self._lose(tid, reason, exec_start)
-        makespan = max(res.commits.values(), default=0)
-        self._busy_until = exec_start + makespan
-        self._busy += makespan
+        self._busy_until = last
+        self._busy += last - exec_start
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -572,17 +541,9 @@ class SchedulingService:
             self._execute_batch(batch, exec_start, window_index)
         queue = self.queue_length
         self._backlog_curve.append(queue)
-        was_saturated = self.detector.saturated
         self.detector.observe(queue)
         if self.detector.saturated:
             self._shed_windows += 1
-            if not was_saturated and self.config.on_saturation == "strict":
-                raise SaturationError(
-                    f"window {window_index}: backlog {queue} growing at "
-                    f"slope {self.detector.slope():.3f} > threshold "
-                    f"{self.config.slope_threshold} over the last "
-                    f"{self.config.detector_horizon} windows"
-                )
         self._windows_run += 1
         if self._rec.enabled:
             self._rec.count("service.windows")

@@ -36,7 +36,7 @@ def _admit(service, entry, now: int, window_index: int) -> None:
         service._lose(txn.tid, f"objects {sorted(gone)} unrecoverable", now)
         return
     service._update_gate()
-    policy = "shed" if service._shedding() else service.config.admission
+    policy = "shed" if service.detector.saturated else service.config.admission
     rec = service._rec
     backlog = service._backlog
     if service._gate_open:
@@ -88,10 +88,10 @@ def admit_all(service, entries: List, now: int, window_index: int) -> None:
 
 
 def commit_all(service, by_tid: Dict, commits: Dict[int, int],
-               exec_start: int) -> None:
+               offset: int) -> None:
     """``_commit_all`` one commit at a time."""
     for tid, ct in sorted(commits.items()):
-        _record_commit(service, by_tid[tid], exec_start + ct)
+        _record_commit(service, by_tid[tid], offset + ct)
 
 
 @contextlib.contextmanager

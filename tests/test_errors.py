@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     ClusterError,
-    DeadlineExpiredError,
     FaultError,
     GraphError,
     HeartbeatTimeoutError,
@@ -12,7 +11,6 @@ from repro.errors import (
     InstanceError,
     RecoveryError,
     ReproError,
-    SaturationError,
     SchedulingError,
     ServiceError,
     SweepTimeoutError,
@@ -33,8 +31,6 @@ class TestHierarchy:
             FaultError,
             RecoveryError,
             ServiceError,
-            DeadlineExpiredError,
-            SaturationError,
             SweepTimeoutError,
             ClusterError,
             WorkerCrashError,
@@ -47,13 +43,18 @@ class TestHierarchy:
             raise exc("boom")
 
     def test_service_errors_form_a_sub_hierarchy(self):
-        # one except ServiceError clause catches every service failure
-        assert issubclass(DeadlineExpiredError, ServiceError)
-        assert issubclass(SaturationError, ServiceError)
+        # one except ServiceError clause catches every service failure:
+        # a bad configuration and a bad call alike
+        from repro.network import grid
+        from repro.service import SchedulingService, ServiceConfig
+        from repro.workloads import PoissonStream, root_rng
+
+        assert issubclass(ServiceError, ReproError)
         with pytest.raises(ServiceError):
-            raise DeadlineExpiredError("too slow")
+            ServiceConfig(window=0)
+        stream = PoissonStream(grid(3), w=4, k=2, rate=0.5, rng=root_rng(1))
         with pytest.raises(ServiceError):
-            raise SaturationError("diverging")
+            SchedulingService(stream).run()  # unbounded, no window count
 
     def test_cluster_errors_form_a_sub_hierarchy(self):
         # one except ClusterError clause catches every cluster failure

@@ -2,8 +2,9 @@
 
 Covers the robustness contract end to end: watermark backpressure with
 hysteresis (defer / shed / strict), deadline expiry, bounded window retry
-under unabsorbable faults, crash handling with typed losses, saturation
-detection with shed-mode degradation, the conservation identity
+under unabsorbable faults, crash handling with typed losses, the
+reactive engine's one clock and fault slice, saturation detection with
+shed-mode degradation, the conservation identity
 ``committed + shed + expired + lost + final_backlog == released``,
 same-seed determinism, commit parity with the step-driven online oracle
 on the empty plan, recorder bit-parity, and JSON round-trips through the
@@ -18,16 +19,11 @@ import pytest
 
 from online_oracle import run_online
 
+import repro.service.loop as service_loop
 from repro.core.dispatch import resolve_scheduler
 from repro.core.instance import Instance
 from repro.core.transaction import Transaction
-from repro.errors import (
-    DeadlineExpiredError,
-    InstanceError,
-    OverloadError,
-    SaturationError,
-    ServiceError,
-)
+from repro.errors import InstanceError, OverloadError, ServiceError
 from repro.faults.backoff import RetryPolicy
 from repro.faults.plan import (
     DelaySpike,
@@ -101,29 +97,32 @@ class _OffNetworkStream(PoissonStream):
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ServiceConfig()
-        assert (cfg.window, cfg.high_water, cfg.low_water) == (16, 64, None)
+        assert (cfg.window, cfg.high_water) == (16, 64)
         assert cfg.admission == "defer"
         assert cfg.retry == RetryPolicy()
-        assert cfg.effective_low_water == cfg.high_water // 2
-        assert cfg.effective_min_backlog == cfg.high_water // 2
+        assert cfg.drain_mark == cfg.high_water // 2
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "window", "high_water", "deadline", "retry", "detector_horizon",
+            "slope_threshold", "algo", "admission",
+        ]
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"window": 0},
             {"high_water": 0},
-            {"low_water": 99, "high_water": 10},
+            {"high_water": -8},
             {"admission": "bounce"},
             {"deadline": 0},
-            {"on_expiry": "explode"},
+            {"deadline": -5},
             {"detector_horizon": 1},
             {"slope_threshold": 0.0},
-            {"min_backlog": 0},
-            {"on_saturation": "panic"},
-            {"low_water": -1},
+            {"slope_threshold": -0.5},
+            {"admission": "drop"},
+            {"window": -1},
             {"algo": "incremental"},
             {"algo": "nope"},
-            {"low_water": 0},
+            {"detector_horizon": 0},
         ],
     )
     def test_bad_config_raises(self, kw):
@@ -291,22 +290,21 @@ class TestBackpressure:
 
     def test_gate_hysteresis(self):
         svc = SchedulingService(
-            _stream(grid(4), 0.5),
-            ServiceConfig(high_water=8, low_water=3),
+            _stream(grid(4), 0.5), ServiceConfig(high_water=8),
         )
         dummy = [_Entry(None, 0) for _ in range(8)]
         svc._backlog = list(dummy)
         svc._update_gate()
         assert not svc._gate_open  # closed at high water
-        svc._backlog = dummy[:5]
+        svc._backlog = dummy[:4]
         svc._update_gate()
-        assert not svc._gate_open  # still closed between the marks
-        svc._backlog = dummy[:2]
+        assert not svc._gate_open  # still closed down to half of it
+        svc._backlog = dummy[:3]
         svc._update_gate()
-        assert svc._gate_open  # reopens only below low water
+        assert svc._gate_open  # reopens only below 8 // 2
 
     def test_high_water_one_reopens_and_drains(self):
-        # the default low-water mark is max(1, high_water // 2): with a
+        # the drain mark is max(1, high_water // 2): with a
         # high-water mark of 1 the gate reopens on an empty backlog
         # instead of never, so a finite stream drains
         svc = SchedulingService(
@@ -318,7 +316,7 @@ class TestBackpressure:
         assert rep.committed == rep.released == 20
         assert rep.final_backlog == 0
         assert rep.accounted
-        assert svc.config.effective_low_water == 1
+        assert svc.config.drain_mark == 1
 
 
 class TestDeadlines:
@@ -329,13 +327,6 @@ class TestDeadlines:
                           windows=30, config=cfg)
         assert rep.expired > 0
         assert rep.accounted
-
-    def test_strict_expiry_raises(self):
-        cfg = ServiceConfig(window=8, high_water=16, deadline=10,
-                            on_expiry="strict", slope_threshold=1000.0)
-        with pytest.raises(DeadlineExpiredError):
-            run_service(_stream(line(6), 3.0, key="hot", w=8, k=3),
-                        windows=40, config=cfg)
 
 
 class TestFaults:
@@ -361,7 +352,7 @@ class TestFaults:
             o for o, home in stream.object_homes.items() if home == dead
         )
         lost = [e for e in rec.events if e.kind == "lost"]
-        assert len({e.tid for e in lost}) == state["lost"]
+        assert len(lost) == len({e.tid for e in lost}) == state["lost"]
         assert any("unrecoverable" in e.reason for e in lost)
 
     def test_a_crash_loses_the_backlog_it_dooms(self):
@@ -425,9 +416,10 @@ class TestFaults:
         assert rep.accounted
 
     def test_window_plan_slices_match_a_full_scan(self, monkeypatch):
-        # the cursor over start-sorted events must hand every window the
-        # slice a scan of the whole plan would: long, permanent and
-        # window-straddling events included, crashes appended last
+        # the cursor over start-sorted events must hand every batch the
+        # slice a scan of the whole plan would: the plan's own events,
+        # unshifted -- long, permanent and window-straddling ones
+        # included -- then the crashes
         net = grid(4)
         u, v, _ = next(net.edges())
         drawn = random_fault_plan(
@@ -440,38 +432,95 @@ class TestFaults:
             DelaySpike(u, v, 64, 80, 2.0), LinkFailure(u, v, 96, None),
         ))
         svc = SchedulingService(_stream(net, 0.5, limit=200), plan=plan)
-        window = svc.config.window
         sliced = []
         real = svc._window_plan
 
-        def spy(exec_start, crashes):
-            got = real(exec_start, crashes)
-            sliced.append((exec_start, crashes, got.events))
+        def spy(first, until, crashes):
+            got = real(first, until, crashes)
+            sliced.append((first, until, crashes, got.events))
             return got
 
         monkeypatch.setattr(svc, "_window_plan", spy)
         svc.run()
         assert len(sliced) > 10
-        for exec_start, crashes, got in sliced:
-            want = []
-            for e in plan.events:
-                if isinstance(e, NodeCrash):
-                    continue
-                if e.start >= exec_start + window or (
-                    e.end is not None and e.end <= exec_start
-                ):
-                    continue
-                rel_start = max(1, e.start - exec_start)
-                rel_end = None if e.end is None else e.end - exec_start
-                if rel_end is not None and rel_end <= rel_start:
-                    continue
-                want.append(dataclasses.replace(
-                    e, start=rel_start, end=rel_end))
-            want += [
-                NodeCrash(c.node, max(1, c.time - exec_start))
-                for c in crashes
-            ]
-            assert got == tuple(want)
+        for first, until, crashes, got in sliced:
+            want = [
+                e for e in plan.events
+                if not isinstance(e, NodeCrash) and e.start < until
+                and (e.end is None or e.end > first)
+            ] + list(crashes)
+            assert len(got) == len(want)
+            assert all(g is e for g, e in zip(got, want))
+
+    def test_a_batch_meets_every_fault_that_starts_before_its_last_commit(
+        self, monkeypatch
+    ):
+        # each run has a batch still running when a delay spike or a
+        # link failure starts after its window's end: the batch reruns
+        # against it, so its final plan holds every windowed event
+        # live at its release that starts before its last commit
+        runs = []
+        real = service_loop.run_resilient
+
+        def spy(workload, plan, **kw):
+            res = real(workload, plan, **kw)
+            if runs and runs[-1][0] is workload:
+                runs.pop()  # a rerun replaces the batch's earlier run
+            runs.append((workload, plan, res))
+            return res
+
+        monkeypatch.setattr(service_loop, "run_resilient", spy)
+        window = 4
+        for seed, limit in ((9, 20), (13, 60), (15, 20)):
+            net = line(9)
+            plan = random_fault_plan(
+                net, 400, np.random.default_rng(seed), intensity=0.3)
+            runs.clear()
+            svc = SchedulingService(
+                PoissonStream(net, w=8, k=2, rate=0.6,
+                              rng=spawn(seed, "s"), limit=limit),
+                ServiceConfig(window=window, high_water=64,
+                              slope_threshold=1000.0),
+                plan=plan,
+            )
+            assert svc.run().accounted
+            overruns = 0
+            for workload, got, res in runs:
+                first = workload.arrivals[0].release
+                last = max(res.commits.values(), default=first)
+                for e in plan.events:
+                    if isinstance(e, NodeCrash) or e.start >= last:
+                        continue
+                    if e.end is None or e.end > first:
+                        assert e in got.events, (seed, first, last, e)
+                        overruns += e.start >= first - 1 + window
+            assert overruns >= 1, seed
+
+    def test_a_reactive_trace_records_each_outcome_once(self):
+        # the service records every admission decision, commit and loss
+        # on its own clock, and each crash at its own time; the run
+        # inside a window records nothing
+        rec = MemoryRecorder()
+        svc = SchedulingService(
+            PoissonStream(grid(3), w=8, k=2, rate=1.2,
+                          rng=spawn(0, "p"), limit=80),
+            ServiceConfig(window=4, high_water=64, slope_threshold=1000.0),
+            plan=FaultPlan([NodeCrash(3, 5)]), recorder=rec,
+        )
+        report = svc.run()
+        kinds = collections.Counter(e.kind for e in rec.events)
+        assert kinds["commit"] == report.committed == 49
+        lost = [e for e in rec.events if e.kind == "lost"]
+        assert len(lost) == len({e.tid for e in lost}) == report.lost == 31
+        reg = rec.registry
+        assert kinds["admission"] == sum(
+            reg.counter(f"service.{name}").value
+            for name in ("admitted", "deferred", "shed")
+        )
+        assert [
+            (e.time, e.node) for e in rec.events if e.kind == "crash"
+        ] == [(5, 3)]
+        assert set(kinds) == {"admission", "commit", "lost", "crash"}
 
 
 #: one small size per topology family (see ``network_from_sizes``)
@@ -586,14 +635,6 @@ class TestSaturationBehavior:
         assert rep.shed_windows > 0
         assert rep.shed > 0  # defer flipped to shed under saturation
         assert rep.accounted
-
-    def test_strict_saturation_raises(self):
-        cfg = ServiceConfig(window=8, high_water=16, admission="defer",
-                            detector_horizon=4, slope_threshold=0.4,
-                            on_saturation="strict")
-        with pytest.raises(SaturationError):
-            run_service(_stream(line(8), 3.0, key="hot", w=8, k=3),
-                        windows=40, config=cfg)
 
     def test_stable_rate_never_saturates(self):
         rep = run_service(_stream(grid(4), 0.3), windows=50)

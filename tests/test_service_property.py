@@ -10,8 +10,8 @@ policies:
   raise :class:`OverloadError` -- never a partial, silent result);
 * the :class:`repro.service.SchedulingService` loop: ``committed + shed
   + expired + lost + final_backlog == released`` for any drawn window
-  length, watermarks, policy, deadline, and rate -- including runs that
-  saturate and flip into shed mode mid-stream.
+  length, high-water mark, policy, deadline, and rate -- including runs
+  that saturate and flip into shed mode mid-stream.
 
 The service settles each window's admissions and commits in slices;
 :mod:`service_oracle` keeps the one-at-a-time form, and the two must
@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import service_oracle
-from repro.errors import DeadlineExpiredError, OverloadError, SaturationError
+from repro.errors import OverloadError
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.network import clique, grid, line
 from repro.obs import MemoryRecorder
@@ -106,7 +106,6 @@ def oracle_cases(draw):
     rate = draw(st.sampled_from([0.3, 0.8, 2.0, 4.0]))
     window = draw(st.integers(min_value=2, max_value=10))
     high_water = draw(st.integers(min_value=1, max_value=16))
-    low_water = draw(st.sampled_from([None, 1, high_water]))
     admission = draw(st.sampled_from(["defer", "shed", "strict"]))
     deadline = draw(st.sampled_from([None, 6, 25]))
     # a twitchy saturation detector flips the service into shed mode
@@ -119,8 +118,8 @@ def oracle_cases(draw):
         max_size=3)))
     windows = draw(st.integers(min_value=3, max_value=16))
     recorded = draw(st.booleans())
-    return (topo, seed, rate, window, high_water, low_water, admission,
-            deadline, saturating, crashes, windows, recorded)
+    return (topo, seed, rate, window, high_water, admission, deadline,
+            saturating, crashes, windows, recorded)
 
 
 def _oracle_stream(case):
@@ -130,7 +129,7 @@ def _oracle_stream(case):
 
 
 def _crash_plan(case):
-    topo, crashes = case[0], case[9]
+    topo, crashes = case[0], case[8]
     n = _NETS[topo].n
     return None if crashes is None else FaultPlan(
         [NodeCrash(node % n, time) for node, time in crashes])
@@ -138,16 +137,15 @@ def _crash_plan(case):
 
 def _service_outcome(case):
     """Everything a service run shows: error, report, state, events."""
-    (topo, seed, rate, window, high_water, low_water, admission, deadline,
+    (topo, seed, rate, window, high_water, admission, deadline,
      saturating, crashes, windows, recorded) = case
     stream = _oracle_stream(case)
     detector = (
-        {"detector_horizon": 2, "slope_threshold": 0.25, "min_backlog": 1}
+        {"detector_horizon": 2, "slope_threshold": 0.25}
         if saturating else {}
     )
     cfg = ServiceConfig(window=window, high_water=high_water,
-                        low_water=low_water, admission=admission,
-                        deadline=deadline, **detector)
+                        admission=admission, deadline=deadline, **detector)
     rec = MemoryRecorder() if recorded else None
     service = SchedulingService(stream, config=cfg, plan=_crash_plan(case),
                                 rng=np.random.default_rng(seed),
@@ -155,7 +153,7 @@ def _service_outcome(case):
     try:
         service.run(windows)
         error = None
-    except (OverloadError, DeadlineExpiredError, SaturationError) as exc:
+    except OverloadError as exc:
         error = (type(exc), str(exc))
     return (
         error,
@@ -168,19 +166,19 @@ def _service_outcome(case):
 
 @given(oracle_cases())
 # high-water 1 deferring under deadlines; saturation shedding after two
-# crashes, low-water at high-water; strict refusal after a crash loss;
+# crashes; strict refusal after a crash loss;
 # deferral beside crash losses and expiries; a window with no releases
 # leaves a closed gate closed; a batch running past its window into a
 # crash on its node
-@example(("grid", 5, 4.0, 6, 1, None, "defer", 25, False, None, 10, True))
-@example(("clique", 3, 4.0, 4, 3, 3, "shed", None, True,
+@example(("grid", 5, 4.0, 6, 1, "defer", 25, False, None, 10, True))
+@example(("clique", 3, 4.0, 4, 3, "shed", None, True,
           [(2, 5), (7, 12)], 12, True))
-@example(("grid", 9, 2.0, 5, 2, 1, "strict", None, False,
+@example(("grid", 9, 2.0, 5, 2, "strict", None, False,
           [(0, 3), (5, 4)], 10, True))
-@example(("line", 1, 0.8, 8, 4, None, "defer", 6, False,
+@example(("line", 1, 0.8, 8, 4, "defer", 6, False,
           [(3, 2), (5, 20)], 16, False))
-@example(("line", 62, 0.3, 10, 4, None, "shed", None, False, None, 6, True))
-@example(("line", 2_147_483_646, 0.3, 2, 1, None, "defer", None, False,
+@example(("line", 62, 0.3, 10, 4, "shed", None, False, None, 6, True))
+@example(("line", 2_147_483_646, 0.3, 2, 1, "defer", None, False,
           [(0, 4)], 3, False))
 @settings(max_examples=60, deadline=None)
 def test_admission_and_commit_slices_match_the_oracle(case):
@@ -191,7 +189,7 @@ def test_admission_and_commit_slices_match_the_oracle(case):
     plan = _crash_plan(case)
     if plan is not None:
         # no commit lands on a node at or after its crash
-        window, windows = case[3], case[10]
+        window, windows = case[3], case[9]
         node_of = {
             tt.txn.tid: tt.txn.node
             for tt in _oracle_stream(case).window(0, window * windows)
