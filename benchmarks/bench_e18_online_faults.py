@@ -6,7 +6,7 @@ from repro.experiments import run_experiment
 from repro.faults import FaultPlan, random_fault_plan
 from repro.network import grid
 from repro.obs import MemoryRecorder
-from repro.online import AdmissionControl, poisson_workload, run_resilient
+from repro.online import poisson_workload, run_resilient
 from repro.sim import InvariantSanitizer
 
 from conftest import SEED
@@ -51,8 +51,7 @@ def test_kernel_run_resilient_sanitized(benchmark):
 def test_kernel_run_resilient_admission(benchmark):
     rng = np.random.default_rng(SEED)
     wl = poisson_workload(grid(8), w=16, k=2, rate=2.0, count=48, rng=rng)
-    admission = AdmissionControl(high_water=6, policy="shed")
-    res = benchmark(lambda: run_resilient(wl, admission=admission))
+    res = benchmark(lambda: run_resilient(wl, high_water=6))
     assert res.report.committed + len(res.report.shed) == res.report.released
 
 

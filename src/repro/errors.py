@@ -23,7 +23,6 @@ __all__ = [
     "LintError",
     "CertificationError",
     "InvariantViolationError",
-    "SweepTimeoutError",
     "ClusterError",
     "WorkerCrashError",
     "HeartbeatTimeoutError",
@@ -101,11 +100,13 @@ class RecoveryError(FaultError):
 class OverloadError(ReproError):
     """Admission control refused a release and was configured to fail.
 
-    Raised by the resilient online runtime (:mod:`repro.online.resilient`)
-    when the pending set exceeds the admission controller's high-water mark
-    and the controller runs in ``strict`` mode.  The graceful modes
-    (``defer``, ``shed``) never raise -- refused releases are counted in the
-    :class:`~repro.online.report.OnlineDegradationReport` instead.
+    Raised only by the scheduling service (:mod:`repro.service`) under
+    ``ServiceConfig(admission="strict")``, when a release meets a closed
+    high-water gate.  The graceful policies (``defer``, ``shed``) never
+    raise -- refused releases are counted in the
+    :class:`~repro.service.report.ServiceReport` instead, as the online
+    runtime counts its high-water sheds in the
+    :class:`~repro.online.report.OnlineDegradationReport`.
     """
 
 
@@ -160,18 +161,6 @@ class CertificationError(StaticCheckError):
     def __init__(self, message: str, failures: tuple[str, ...] = ()) -> None:
         super().__init__(message)
         self.failures: tuple[str, ...] = tuple(failures)
-
-
-class SweepTimeoutError(ReproError):
-    """A sweep cell exceeded its per-cell deadline.
-
-    Raised by :func:`repro.experiments.sweep.run_sweep` only when
-    configured with ``on_timeout="strict"``; under the default
-    ``"record"`` policy the hung cell is terminated and a typed error
-    entry (carrying this class's name) lands in the merged
-    :class:`~repro.experiments.sweep.SweepReport` instead, so one hung
-    worker can never block a whole sweep.
-    """
 
 
 class ClusterError(ReproError):

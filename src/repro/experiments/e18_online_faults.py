@@ -19,12 +19,7 @@ from ..analysis.stats import summarize
 from ..analysis.tables import Table
 from ..faults import faulty_execute, random_fault_plan
 from ..network.topologies import clique, grid
-from ..online import (
-    AdmissionControl,
-    poisson_workload,
-    run_epoch_batched,
-    run_resilient,
-)
+from ..online import poisson_workload, run_epoch_batched, run_resilient
 from ..sim.sanitizer import InvariantSanitizer
 from ..workloads.seeds import spawn
 from ..obs.recorder import Recorder
@@ -83,9 +78,7 @@ def run(
                 res = run_resilient(wl, plan, sanitizer=san, recorder=recorder)
                 san_adm = InvariantSanitizer()
                 adm = run_resilient(
-                    wl, plan,
-                    admission=AdmissionControl(high_water, "shed"),
-                    sanitizer=san_adm,
+                    wl, plan, high_water=high_water, sanitizer=san_adm,
                     recorder=recorder,
                 )
                 epoch = run_epoch_batched(

@@ -13,25 +13,17 @@ pair, results are merged in shard order (``imap`` preserves it regardless
 of completion order), and the machine-dependent wall/CPU timings live in a
 separate ``profiles`` field that parity comparisons exclude
 (:meth:`SweepReport.parity_key`).
-
-A hung cell cannot hang the sweep: ``cell_timeout`` bounds each cell's
-wall time, and a cell that blows it is recorded as a typed
-``SweepTimeoutError`` entry in the merged report (or raised, under
-``on_timeout="strict"``) while the rest of the sweep completes.  Timeout
-entries are machine facts -- a sweep that timed out does not promise
-parity with one that did not.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
-from multiprocessing.context import TimeoutError as _PoolTimeout
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..analysis.report import report_payload, report_to_json, register_report
 from ..cluster.wire import CELL_KIND, decode_message, encode_message
-from ..errors import ReproError, SweepTimeoutError
+from ..errors import ReproError
 from ..obs.recorder import MemoryRecorder, Recorder, active
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
 
@@ -131,93 +123,12 @@ def _decode_shard(text: str) -> Dict[str, Any]:
     return body
 
 
-def _timeout_result(eid: str, seed: int, cell_timeout: float) -> Dict[str, Any]:
-    """The merged-report entry for a cell that blew its deadline."""
-    message = (
-        f"cell ({eid}, seed {seed}) exceeded its {cell_timeout:.1f}s "
-        f"timeout and was killed"
-    )
-    return {
-        "cell": {
-            "experiment": eid,
-            "seed": seed,
-            "error": {"type": "SweepTimeoutError", "message": message},
-        },
-        "profile": {
-            "experiment": eid,
-            "seed": seed,
-            "wall_s": float(cell_timeout),
-            "cpu_s": 0.0,
-            "phases": [],
-            "timeout": True,
-        },
-    }
-
-
-def _run_pool(
-    shards: List[Tuple[str, int, bool]],
-    workers: int,
-    cell_timeout: Optional[float],
-    on_timeout: str,
-) -> List[Dict[str, Any]]:
-    """Run shards in a fork pool, bounding each cell's wall time.
-
-    Futures are collected in shard order.  On a timeout the whole pool
-    is terminated (the hung worker cannot be recalled individually) and
-    a fresh pool runs the remaining shards, so one wedged cell costs at
-    most ``cell_timeout`` plus re-running any cells that shared its
-    pool generation -- it can never hang the sweep.
-    """
-    ctx = get_context("fork")
-    results: List[Dict[str, Any]] = []
-    idx = 0
-    pool = ctx.Pool(processes=min(workers, len(shards)))
-    try:
-        while idx < len(shards):
-            pending = [
-                (i, pool.apply_async(_run_shard, (shards[i],)))
-                for i in range(idx, len(shards))
-            ]
-            timed_out = False
-            for i, fut in pending:
-                try:
-                    results.append(_decode_shard(fut.get(timeout=cell_timeout)))
-                    idx = i + 1
-                except _PoolTimeout:
-                    eid, seed, _ = shards[i]
-                    if on_timeout == "strict":
-                        raise SweepTimeoutError(
-                            f"sweep cell ({eid}, seed {seed}) produced no "
-                            f"result within {cell_timeout:.1f}s"
-                        ) from None
-                    results.append(_timeout_result(eid, seed, cell_timeout))
-                    idx = i + 1
-                    pool.terminate()
-                    pool.join()
-                    pool = None
-                    if idx < len(shards):
-                        pool = ctx.Pool(
-                            processes=min(workers, len(shards) - idx)
-                        )
-                    timed_out = True
-                    break
-            if not timed_out:
-                break
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    return results
-
-
 def run_sweep(
     experiments: Sequence[str],
     seeds: Sequence[int] = (0,),
     quick: bool = False,
     workers: int = 1,
     recorder: Optional[Recorder] = None,
-    cell_timeout: Optional[float] = None,
-    on_timeout: str = "record",
 ) -> SweepReport:
     """Run every ``(experiment, seed)`` cell, sharded across ``workers``.
 
@@ -227,15 +138,6 @@ def run_sweep(
     gets one ``sweep.cells`` count and a ``sweep.cell_wall_s``
     observation per cell, plus every child counter folded in, so
     sweep-level dashboards see the same totals a serial run would.
-
-    ``cell_timeout`` (seconds) bounds each cell's wall time; setting it
-    forces the pool path even for ``workers=1`` (the parent cannot
-    interrupt its own inline call).  A cell that exceeds it is killed
-    and -- under the default ``on_timeout="record"`` -- recorded in the
-    merged report as a ``{"experiment", "seed", "error"}`` cell with
-    type ``SweepTimeoutError``, while the remaining cells run in a fresh
-    pool.  ``on_timeout="strict"`` raises
-    :class:`~repro.errors.SweepTimeoutError` instead.
     """
     experiments = list(experiments)
     seeds = [int(s) for s in seeds]
@@ -250,22 +152,11 @@ def run_sweep(
         )
     if workers < 1:
         raise ReproError(f"run_sweep(): workers must be >= 1, got {workers}")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ReproError(
-            f"run_sweep(): cell_timeout must be positive, got {cell_timeout}"
-        )
-    if on_timeout not in ("record", "strict"):
-        raise ReproError(
-            f"run_sweep(): unknown on_timeout policy {on_timeout!r}; "
-            f"choose 'record' or 'strict'"
-        )
 
     shards = sweep_shards(experiments, seeds, quick)
     rec = active(recorder)
     with rec.phase("sweep"):
-        if cell_timeout is not None:
-            results = _run_pool(shards, workers, cell_timeout, on_timeout)
-        elif workers == 1 or len(shards) == 1:
+        if workers == 1 or len(shards) == 1:
             results = [_decode_shard(_run_shard(s)) for s in shards]
         else:
             ctx = get_context("fork")
@@ -278,9 +169,6 @@ def run_sweep(
     for res in results:
         rec.count("sweep.cells")
         rec.observe("sweep.cell_wall_s", res["profile"]["wall_s"])
-        if "error" in res["cell"]:
-            rec.count("sweep.timeouts")
-            continue
         for name, value in res["cell"]["metrics"]["counters"].items():
             rec.count(name, value)
 

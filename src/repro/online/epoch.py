@@ -68,8 +68,8 @@ def run_epoch_batched(
     }
     report = OnlineDegradationReport(
         released=workload.m, committed=workload.m, lost=(), shed=(),
-        deferred_admissions=0, retries=0, reroutes=0, rehomed=0,
-        fault_count=0, sanitizer_checks=0, violations=0,
+        retries=0, reroutes=0, rehomed=0, fault_count=0,
+        sanitizer_checks=0, violations=0,
     )
     return OnlineResult(
         schedule=schedule, commits=dict(schedule.commit_times),

@@ -3,11 +3,10 @@
 The offline analogue (:class:`repro.faults.report.DegradationReport`)
 compares a *planned* schedule against its faulty replay.  A live run has
 no planned schedule to compare against, so the online report counts the
-degradation directly: transactions lost to crashes, releases shed or
-deferred by admission control, retry/reroute/re-homing work spent
-absorbing faults, and the sanitizer's verdict.  The accounting identity
-``committed + lost + shed = released`` always holds -- nothing is
-silently dropped.
+degradation directly: transactions lost to crashes, releases shed by
+admission control, retry/reroute/re-homing work spent absorbing faults,
+and the sanitizer's verdict.  The accounting identity ``committed + lost
++ shed = released`` always holds -- nothing is silently dropped.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class OnlineDegradationReport:
     committed: int
     lost: Tuple[Tuple[int, str], ...]
     shed: Tuple[Tuple[int, str], ...]
-    deferred_admissions: int
     retries: int
     reroutes: int
     rehomed: int
@@ -66,7 +64,6 @@ class OnlineDegradationReport:
             "shed": len(self.shed),
             "commit_rate": self.commit_rate,
             "shed_fraction": self.shed_fraction,
-            "deferred_admissions": self.deferred_admissions,
             "retries": self.retries,
             "reroutes": self.reroutes,
             "rehomed": self.rehomed,
@@ -94,8 +91,7 @@ class OnlineDegradationReport:
         """Multi-line human-readable summary."""
         lines = [
             f"committed {self.committed}/{self.released} "
-            f"(lost {len(self.lost)}, shed {len(self.shed)}, "
-            f"deferred {self.deferred_admissions})",
+            f"(lost {len(self.lost)}, shed {len(self.shed)})",
             f"recovery work: retries {self.retries}, reroutes "
             f"{self.reroutes}, rehomed {self.rehomed} "
             f"({self.fault_count} faults planned)",

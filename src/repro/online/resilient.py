@@ -27,10 +27,9 @@ absorbs each disruption without giving up determinism:
   re-auctioned to the highest-priority pending waiter by the normal
   dispatch rule; transactions hosted on the dead node (and any needing an
   unrecoverable object) are reported ``lost``, never silently dropped;
-* **admission control sheds load before it melts down**: when the pending
-  set reaches :class:`AdmissionControl`'s high-water mark, new releases
-  are deferred (back-pressure), shed (typed refusal, counted), or -- in
-  ``strict`` mode -- rejected with :class:`~repro.errors.OverloadError`;
+* **admission control sheds load before it melts down**: a release that
+  arrives while ``high_water`` transactions are pending is shed (a typed
+  refusal, counted in the report);
 * every step can be audited by an
   :class:`~repro.sim.sanitizer.InvariantSanitizer` hook.
 
@@ -54,14 +53,13 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.schedule import Schedule
-from ..errors import FaultError, OverloadError, SchedulingError
+from ..errors import FaultError, SchedulingError
 from ..faults.backoff import RetryPolicy
 from ..faults.plan import FaultPlan
 from ..faults.routing import path_avoiding
@@ -72,43 +70,11 @@ from .arrivals import OnlineWorkload, TimedTransaction
 from .report import OnlineDegradationReport
 
 __all__ = [
-    "AdmissionControl",
     "OnlineResult",
     "random_priority",
     "run_resilient",
     "timestamp_priority",
 ]
-
-_ADMISSION_POLICIES = ("defer", "shed", "strict")
-
-
-@dataclass(frozen=True)
-class AdmissionControl:
-    """Back-pressure for the resilient runtime's pending set.
-
-    When a release arrives while ``len(pending) >= high_water`` the
-    controller applies its policy: ``defer`` queues the release until the
-    pending set drains below the mark (FIFO, nothing lost), ``shed``
-    refuses it permanently (counted in the degradation report with a
-    typed reason), and ``strict`` raises
-    :class:`~repro.errors.OverloadError` -- for callers that prefer a
-    crash to degraded service.
-    """
-
-    high_water: int
-    policy: str = "defer"
-
-    def __post_init__(self) -> None:
-        if self.high_water < 1:
-            raise ValueError(
-                f"high_water must be >= 1, got {self.high_water}"
-            )
-        if self.policy not in _ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {self.policy!r}; choose from "
-                f"{_ADMISSION_POLICIES}"
-            )
-
 
 @dataclass
 class OnlineResult:
@@ -122,13 +88,15 @@ class OnlineResult:
     is not a schedule).  The schedule is batch-feasible whenever the
     plan contains no node crashes (crash recovery restores objects at
     their durable home, a move the batch validator cannot see).
-    ``report`` carries the degradation accounting.
+    ``report`` carries the degradation accounting, and ``lost_at`` maps
+    every *lost* transaction to the step it was lost at.
     """
 
     schedule: Optional[Schedule]
     commits: Dict[int, int]
     release: Dict[int, int]
     report: OnlineDegradationReport
+    lost_at: Dict[int, int] = field(default_factory=dict)
 
     @property
     def makespan(self) -> int:
@@ -200,9 +168,8 @@ def run_resilient(
     priority: Callable[..., Dict[int, tuple]] = timestamp_priority,
     rng: np.random.Generator | None = None,
     policy: RetryPolicy | None = None,
-    admission: AdmissionControl | None = None,
+    high_water: int | None = None,
     sanitizer: InvariantSanitizer | None = None,
-    max_steps: int | None = None,
     recorder: Recorder | None = None,
 ) -> OnlineResult:
     """Run the priority contention manager against a live fault plan.
@@ -213,15 +180,19 @@ def run_resilient(
     it by keyword -- the second positional argument is ``plan``.
     ``policy`` bounds the backoff on blocked hops; exhausting it raises
     :class:`FaultError` (an unabsorbable fault, e.g. a permanent
-    partition).  ``admission`` enables load
-    shedding; ``sanitizer`` audits every hop, commit and dispatch, and
+    partition).  ``high_water`` (at least 1) sheds every release that
+    arrives while that many transactions are pending; ``None`` admits
+    all.  ``sanitizer`` audits every hop, commit and dispatch, and
     every step at which an event fires.  Raises
-    :class:`SchedulingError` past ``max_steps`` (defaults to the healthy
-    bound plus the plan's fault horizon and retry budget).  ``recorder``
-    is an optional :class:`~repro.obs.Recorder` sink narrating retries,
-    reroutes, lease recoveries, admission decisions, crashes, and
-    commits; recording never changes the run's decisions.
+    :class:`SchedulingError` past a step guard that a livelock-free run
+    never reaches (the healthy bound plus the plan's fault horizon and
+    retry budget).  ``recorder`` is an optional
+    :class:`~repro.obs.Recorder` sink narrating retries, reroutes, lease
+    recoveries, admission decisions, crashes, and commits; recording
+    never changes the run's decisions.
     """
+    if high_water is not None and high_water < 1:
+        raise ValueError(f"high_water must be >= 1, got {high_water}")
     rec = active(recorder)
     plan = plan if plan is not None else FaultPlan()
     policy = policy or RetryPolicy()
@@ -229,13 +200,12 @@ def run_resilient(
     net = inst.network
     plan.validate_against(net)
     prio = priority(workload, rng) if rng is not None else priority(workload)
-    if max_steps is None:
-        diameter = net.diameter()
-        max_steps = workload.horizon + (inst.m + 1) * (diameter + 1) + 16
-        if not plan.is_empty:
-            max_steps += plan.latest_time + (
-                policy.budget + diameter + 1
-            ) * (inst.m + 1)
+    diameter = net.diameter()
+    max_steps = workload.horizon + (inst.m + 1) * (diameter + 1) + 16
+    if not plan.is_empty:
+        max_steps += plan.latest_time + (
+            policy.budget + diameter + 1
+        ) * (inst.m + 1)
 
     position: Dict[int, int] = dict(inst.object_homes)
     flights: Dict[int, _Flight] = {}
@@ -244,8 +214,8 @@ def run_resilient(
     waiters: Dict[int, Dict[int, None]] = {}  # obj -> pending tids, in order
     commits: Dict[int, int] = {}
     lost: List[Tuple[int, str]] = []
+    lost_at: Dict[int, int] = {}
     shed: List[Tuple[int, str]] = []
-    deferred: Deque[TimedTransaction] = deque()
     unrecoverable: set[int] = set()
     dead: set[int] = set()
     # objects whose place, motion or waiters changed since the last
@@ -257,7 +227,7 @@ def run_resilient(
     release = {a.txn.tid: a.release for a in arrivals}
     crash_seq = list(plan.crash_events)
     ai = ci = seq = 0
-    retries = reroutes = rehomed = deferred_admissions = 0
+    retries = reroutes = rehomed = 0
     t = 1
 
     def _schedule(fl: _Flight, when: int) -> None:
@@ -400,11 +370,15 @@ def run_resilient(
             del waiters[o][tid]
         dirty.update(txn.objects)
 
-    def _drop_pending(tid: int, reason: str) -> None:
+    def _lose(tid: int, reason: str) -> None:
         lost.append((tid, reason))
+        lost_at[tid] = t
         if rec.enabled:
             rec.record(obs_events.LostEvent(t, tid, reason))
             rec.count("resilient.lost")
+
+    def _drop_pending(tid: int, reason: str) -> None:
+        _lose(tid, reason)
         _retire(tid)
 
     def _crash(node: int) -> None:
@@ -446,19 +420,11 @@ def run_resilient(
     def _admit(timed: TimedTransaction) -> None:
         txn = timed.txn
         if txn.node in dead:
-            reason = f"node {txn.node} crashed"
-            lost.append((txn.tid, reason))
-            if rec.enabled:
-                rec.record(obs_events.LostEvent(t, txn.tid, reason))
-                rec.count("resilient.lost")
+            _lose(txn.tid, f"node {txn.node} crashed")
             return
         gone = txn.objects & unrecoverable
         if gone:
-            reason = f"objects {sorted(gone)} unrecoverable"
-            lost.append((txn.tid, reason))
-            if rec.enabled:
-                rec.record(obs_events.LostEvent(t, txn.tid, reason))
-                rec.count("resilient.lost")
+            _lose(txn.tid, f"objects {sorted(gone)} unrecoverable")
             return
         if rec.enabled:
             rec.record(
@@ -471,10 +437,7 @@ def run_resilient(
             waiters.setdefault(o, {})[txn.tid] = None
         dirty.update(txn.objects)
 
-    def _room() -> bool:
-        return admission is None or len(pending) < admission.high_water
-
-    while ai < len(arrivals) or deferred or pending or flights:
+    while ai < len(arrivals) or pending or flights:
         if t > max_steps:
             raise SchedulingError(
                 f"resilient runtime exceeded {max_steps} steps "
@@ -495,43 +458,24 @@ def run_resilient(
                 _arrive(fl, t)
             else:
                 _try_depart(fl, t)
-        # admission: deferred releases first (FIFO), then new arrivals
-        while deferred and _room():
-            _admit(deferred.popleft())
+        # admission: shed what arrives at or past the high-water mark
         while ai < len(arrivals) and arrivals[ai].release <= t:
             timed = arrivals[ai]
             ai += 1
-            if _room():
+            if high_water is None or len(pending) < high_water:
                 _admit(timed)
-            elif admission.policy == "strict":
-                raise OverloadError(
-                    f"t={t}: release of transaction {timed.txn.tid} with "
-                    f"{len(pending)} pending >= high-water "
-                    f"{admission.high_water}"
+                continue
+            shed.append((
+                timed.txn.tid,
+                f"{len(pending)} pending >= high-water {high_water} at t={t}",
+            ))
+            if rec.enabled:
+                rec.record(
+                    obs_events.AdmissionEvent(
+                        t, timed.txn.tid, "shed", len(pending)
+                    )
                 )
-            elif admission.policy == "shed":
-                shed.append((
-                    timed.txn.tid,
-                    f"{len(pending)} pending >= high-water "
-                    f"{admission.high_water} at t={t}",
-                ))
-                if rec.enabled:
-                    rec.record(
-                        obs_events.AdmissionEvent(
-                            t, timed.txn.tid, "shed", len(pending)
-                        )
-                    )
-                    rec.count("resilient.shed")
-            else:
-                deferred.append(timed)
-                deferred_admissions += 1
-                if rec.enabled:
-                    rec.record(
-                        obs_events.AdmissionEvent(
-                            t, timed.txn.tid, "defer", len(pending)
-                        )
-                    )
-                    rec.count("resilient.deferred")
+                rec.count("resilient.shed")
         # commits: waiters of dirty objects with all objects on-node
         waiting = {tid for o in dirty for tid in waiters.get(o, ())}
         committed_now = sorted(
@@ -591,8 +535,6 @@ def run_resilient(
             nxt.append(crash_seq[ci].time)
         if events:
             nxt.append(events[0][0])
-        if deferred:
-            nxt.append(t + 1)
         t = max(t + 1, min(nxt)) if nxt else t + 1
 
     for tid, ct in commits.items():
@@ -609,7 +551,6 @@ def run_resilient(
         committed=len(commits),
         lost=tuple(lost),
         shed=tuple(shed),
-        deferred_admissions=deferred_admissions,
         retries=retries,
         reroutes=reroutes,
         rehomed=rehomed,
@@ -625,5 +566,5 @@ def run_resilient(
         )
     return OnlineResult(
         schedule=schedule, commits=dict(commits), release=release,
-        report=report,
+        report=report, lost_at=lost_at,
     )

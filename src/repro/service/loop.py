@@ -41,6 +41,7 @@ decision -- the same bit-parity standard as every other engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
@@ -139,7 +140,11 @@ class SchedulingService:
         # fault bookkeeping that outlives windows
         self._dead: set[int] = set()
         self._unrecoverable: set[int] = set()
+        # crashes are consumed (dead sets, backlog losses) as the clock
+        # reaches them, but recorded as soon as a batch meets them, so
+        # the record cursor runs at or ahead of the consume cursor
         self._crash_cursor = 0
+        self._crash_recorded = 0
         self._crash_seq: Tuple[NodeCrash, ...] = (
             plan.crash_events if plan is not None else ()
         )
@@ -165,7 +170,10 @@ class SchedulingService:
         self._lost = 0
         self._deferred_admissions = 0
         self._window_retries = 0
-        self._backlog_curve: List[int] = []
+        # queue length after each window: its sum and peak (the detector
+        # counts the windows)
+        self._backlog_sum = 0
+        self._backlog_peak = 0
         self._shed_windows = 0
         self._busy_until = 0
         self._busy = 0
@@ -326,9 +334,17 @@ class SchedulingService:
     # fault-plan slicing
     # ------------------------------------------------------------------ #
 
+    def _record_crashes(self, count: int) -> None:
+        """Record each of the plan's first ``count`` crashes not yet
+        recorded, at its own time."""
+        if self._rec.enabled:
+            for ev in self._crash_seq[self._crash_recorded:count]:
+                self._rec.record(obs_events.CrashEvent(ev.time, ev.node))
+        self._crash_recorded = max(self._crash_recorded, count)
+
     def _mark_crashes(self, span_end: int, now: int) -> None:
-        """Consume global crashes up to ``span_end``; record each at its
-        own time, update dead sets and lose the backlog entries each
+        """Consume global crashes up to ``span_end``; record each not yet
+        recorded, update dead sets and lose the backlog entries each
         crash dooms, at its time or at ``now`` if later (deferred entries
         meet the check at admission).
         """
@@ -338,8 +354,7 @@ class SchedulingService:
         ):
             ev = self._crash_seq[self._crash_cursor]  # one per node
             self._crash_cursor += 1
-            if self._rec.enabled:
-                self._rec.record(obs_events.CrashEvent(ev.time, ev.node))
+            self._record_crashes(self._crash_cursor)
             self._dead.add(ev.node)
             self._unrecoverable.update(
                 obj for obj, home in self.stream.object_homes.items()
@@ -509,9 +524,15 @@ class SchedulingService:
             if cursor == len(queue) or queue[cursor][0] >= last:
                 break
             until = last
+        # the batch met every crash up to its last outcome: they are
+        # recorded now, though the clock consumes them later
+        outcome = max([last, *res.lost_at.values()])
+        self._record_crashes(
+            bisect_right(self._crash_seq, outcome, key=lambda ev: ev.time)
+        )
         self._commit_all(by_tid, res.commits, 0)
         for tid, reason in res.report.lost:
-            self._lose(tid, reason, exec_start)
+            self._lose(tid, reason, res.lost_at[tid])
         self._busy_until = last
         self._busy += last - exec_start
 
@@ -540,7 +561,8 @@ class SchedulingService:
         if batch:
             self._execute_batch(batch, exec_start, window_index)
         queue = self.queue_length
-        self._backlog_curve.append(queue)
+        self._backlog_sum += queue
+        self._backlog_peak = max(self._backlog_peak, queue)
         self.detector.observe(queue)
         if self.detector.saturated:
             self._shed_windows += 1
@@ -649,6 +671,7 @@ class SchedulingService:
             "dead": sorted(self._dead),
             "unrecoverable": sorted(self._unrecoverable),
             "crash_cursor": self._crash_cursor,
+            "crash_recorded": self._crash_recorded,
             "windows_run": self._windows_run,
             "released": self._released,
             "admitted": self._admitted,
@@ -659,7 +682,8 @@ class SchedulingService:
             "lost": self._lost,
             "deferred_admissions": self._deferred_admissions,
             "window_retries": self._window_retries,
-            "backlog_curve": list(self._backlog_curve),
+            "backlog_sum": self._backlog_sum,
+            "backlog_peak": self._backlog_peak,
             "shed_windows": self._shed_windows,
             "busy_until": self._busy_until,
             "busy": self._busy,
@@ -686,6 +710,7 @@ class SchedulingService:
         self._dead = {int(n) for n in state["dead"]}  # type: ignore[union-attr]
         self._unrecoverable = {int(o) for o in state["unrecoverable"]}  # type: ignore[union-attr]
         self._crash_cursor = int(state["crash_cursor"])  # type: ignore[arg-type]
+        self._crash_recorded = int(state["crash_recorded"])  # type: ignore[arg-type]
         self._windows_run = int(state["windows_run"])  # type: ignore[arg-type]
         self._released = int(state["released"])  # type: ignore[arg-type]
         self._admitted = int(state["admitted"])  # type: ignore[arg-type]
@@ -698,7 +723,8 @@ class SchedulingService:
         self._lost = int(state["lost"])  # type: ignore[arg-type]
         self._deferred_admissions = int(state["deferred_admissions"])  # type: ignore[arg-type]
         self._window_retries = int(state["window_retries"])  # type: ignore[arg-type]
-        self._backlog_curve = [int(q) for q in state["backlog_curve"]]  # type: ignore[union-attr]
+        self._backlog_sum = int(state["backlog_sum"])  # type: ignore[arg-type]
+        self._backlog_peak = int(state["backlog_peak"])  # type: ignore[arg-type]
         self._shed_windows = int(state["shed_windows"])  # type: ignore[arg-type]
         self._busy_until = int(state["busy_until"])  # type: ignore[arg-type]
         self._busy = int(state["busy"])  # type: ignore[arg-type]
@@ -729,6 +755,7 @@ class SchedulingService:
     def report(self) -> ServiceReport:
         """The run's :class:`ServiceReport` (valid at any window boundary)."""
         elapsed = max(self._busy_until, self._windows_run * self.config.window)
+        _, slope, observed = self.detector.snapshot()
         return ServiceReport(
             windows=self._windows_run,
             window_len=self.config.window,
@@ -742,16 +769,16 @@ class SchedulingService:
             deferred_admissions=self._deferred_admissions,
             window_retries=self._window_retries,
             fault_count=len(self.plan) if self.plan is not None else 0,
-            peak_backlog=max(self._backlog_curve, default=0),
+            mean_backlog=self._backlog_sum / observed if observed else 0.0,
+            peak_backlog=self._backlog_peak,
             final_backlog=self.queue_length,
-            backlog_curve=tuple(self._backlog_curve),
             **sojourn_summary(self._sojourns),
             elapsed=elapsed,
             busy=self._busy,
             saturated_at=self.detector.tripped_at,
             shed_windows=self._shed_windows,
             detector_trips=self.detector.trips,
-            final_slope=self.detector.slope(),
+            final_slope=slope,
         )
 
 

@@ -2,7 +2,7 @@
 
 A finite run has a makespan; a service has a *steady state* (or fails to
 reach one).  :class:`ServiceReport` therefore carries the stability
-evidence: the per-window backlog curve, sojourn-latency percentiles,
+evidence: the mean and peak backlog, sojourn-latency percentiles,
 utilization, the saturation detector's verdict, and the full loss
 accounting.  The identity ``committed + shed + expired + lost +
 final_backlog == released`` always holds -- every transaction the stream
@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional
 
 from ..analysis.report import register_report, report_payload, report_to_json
 
@@ -55,9 +55,9 @@ def sojourn_summary(histogram: Mapping[int, int]) -> Dict[str, float]:
 class ServiceReport:
     """Stability and degradation accounting for one service run.
 
-    ``backlog_curve`` is the queue length after each window -- the raw
-    series behind the stability experiment's plots and the saturation
-    detector's regression.  ``expired`` counts deadline expiries,
+    ``mean_backlog`` and ``peak_backlog`` summarize the queue length
+    after each window this service ran (the series the saturation
+    detector regresses on).  ``expired`` counts deadline expiries,
     ``lost`` counts crash/retry-budget casualties, ``shed`` counts
     admission refusals; ``final_backlog`` is work still queued when the
     run stopped.  ``saturated_at`` is the window index of the detector's
@@ -78,9 +78,9 @@ class ServiceReport:
     deferred_admissions: int
     window_retries: int
     fault_count: int
+    mean_backlog: float
     peak_backlog: int
     final_backlog: int
-    backlog_curve: Tuple[int, ...]
     sojourn_p50: float
     sojourn_p99: float
     sojourn_mean: float
@@ -113,13 +113,6 @@ class ServiceReport:
         return self.busy / self.elapsed if self.elapsed else 0.0
 
     @property
-    def mean_backlog(self) -> float:
-        """Mean queue length over the run's windows."""
-        if not self.backlog_curve:
-            return 0.0
-        return sum(self.backlog_curve) / len(self.backlog_curve)
-
-    @property
     def accounted(self) -> bool:
         """The conservation identity: nothing silently dropped."""
         return (
@@ -129,7 +122,7 @@ class ServiceReport:
         )
 
     def as_dict(self) -> dict[str, object]:
-        """Plain-data summary for tables (curve collapsed to stats)."""
+        """Plain-data summary for tables."""
         return {
             "windows": self.windows,
             "released": self.released,
@@ -157,11 +150,7 @@ class ServiceReport:
     @classmethod
     def from_json(cls, text: str) -> "ServiceReport":
         """Inverse of :meth:`to_json`."""
-        payload = report_payload(text, expected_kind="service")
-        payload["backlog_curve"] = tuple(
-            int(q) for q in payload["backlog_curve"]
-        )
-        return cls(**payload)
+        return cls(**report_payload(text, expected_kind="service"))
 
     def render(self) -> str:
         """Multi-line human-readable summary."""

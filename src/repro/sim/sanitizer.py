@@ -20,8 +20,10 @@ are being made*:
   it (the Greedy-CM discipline that makes the runtime livelock-free).
 
 A violation raises :class:`~repro.errors.InvariantViolationError`
-immediately (or is collected when ``raise_on_violation=False``, which the
-E18 experiment uses to report a violation count).  The checks cost
+immediately, or is collected when ``raise_on_violation=False`` (the
+runtime's parity tests collect them to compare two engines).  E18 runs
+the raising form, so its ``violations`` column is zero unless a run
+fails outright.  The checks cost
 O(objects + pending) per step; a run that should not pay it passes no
 sanitizer (``sanitizer=None``, the default).
 """

@@ -127,8 +127,7 @@ def run_online(
             )
     report = OnlineDegradationReport(
         released=workload.m, committed=len(commits), lost=(), shed=(),
-        deferred_admissions=0, retries=0, reroutes=0, rehomed=0,
-        fault_count=0,
+        retries=0, reroutes=0, rehomed=0, fault_count=0,
         sanitizer_checks=sanitizer.checks if sanitizer is not None else 0,
         violations=len(sanitizer.violations) if sanitizer is not None else 0,
     )

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.schedule import Schedule
-from repro.errors import FaultError, OverloadError, SchedulingError
+from repro.errors import FaultError, SchedulingError
 from repro.faults.backoff import RetryPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.routing import path_avoiding
@@ -28,11 +28,7 @@ from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder, active
 from repro.online.arrivals import OnlineWorkload, TimedTransaction
 from repro.online.report import OnlineDegradationReport
-from repro.online.resilient import (
-    AdmissionControl,
-    OnlineResult,
-    timestamp_priority,
-)
+from repro.online.resilient import OnlineResult, timestamp_priority
 from repro.sim.sanitizer import InvariantSanitizer
 
 __all__ = ["run_resilient_stepwise"]
@@ -60,9 +56,8 @@ def run_resilient_stepwise(
     priority: Callable[..., Dict[int, tuple]] = timestamp_priority,
     rng: np.random.Generator | None = None,
     policy: RetryPolicy | None = None,
-    admission: AdmissionControl | None = None,
+    high_water: int | None = None,
     sanitizer: InvariantSanitizer | None = None,
-    max_steps: int | None = None,
     recorder: Recorder | None = None,
 ) -> OnlineResult:
     """The resilient runtime, one hop and one full rescan per step."""
@@ -73,14 +68,11 @@ def run_resilient_stepwise(
     net = inst.network
     plan.validate_against(net)
     prio = priority(workload, rng) if rng is not None else priority(workload)
-    if max_steps is None:
-        max_steps = (
-            workload.horizon + (inst.m + 1) * (net.diameter() + 1) + 16
-        )
-        if not plan.is_empty:
-            max_steps += plan.latest_time + (
-                policy.budget + net.diameter() + 1
-            ) * (inst.m + 1)
+    max_steps = workload.horizon + (inst.m + 1) * (net.diameter() + 1) + 16
+    if not plan.is_empty:
+        max_steps += plan.latest_time + (
+            policy.budget + net.diameter() + 1
+        ) * (inst.m + 1)
 
     position: Dict[int, int] = dict(inst.object_homes)
     flights: Dict[int, _Flight] = {}
@@ -88,7 +80,6 @@ def run_resilient_stepwise(
     commits: Dict[int, int] = {}
     lost: List[Tuple[int, str]] = []
     shed: List[Tuple[int, str]] = []
-    deferred: List[TimedTransaction] = []
     unrecoverable: set[int] = set()
     dead: set[int] = set()
 
@@ -96,7 +87,7 @@ def run_resilient_stepwise(
     release = {a.txn.tid: a.release for a in arrivals}
     crash_seq = list(plan.crash_events)
     ai = ci = 0
-    retries = reroutes = rehomed = deferred_admissions = 0
+    retries = reroutes = rehomed = 0
     t = 1
 
     def best_requester(obj: int):
@@ -241,10 +232,7 @@ def run_resilient_stepwise(
             rec.count("resilient.admitted")
         pending[txn.tid] = txn
 
-    def _room() -> bool:
-        return admission is None or len(pending) < admission.high_water
-
-    while ai < len(arrivals) or deferred or pending or flights:
+    while ai < len(arrivals) or pending or flights:
         if t > max_steps:
             raise SchedulingError(
                 f"resilient runtime exceeded {max_steps} steps "
@@ -270,43 +258,24 @@ def run_resilient_stepwise(
                 _try_depart(fl, t)
             if fl is not None and fl.retry_at is not None and fl.retry_at <= t:
                 _try_depart(fl, t)
-        # admission: deferred releases first (FIFO), then new arrivals
-        while deferred and _room():
-            _admit(deferred.pop(0))
+        # admission: shed what arrives at or past the high-water mark
         while ai < len(arrivals) and arrivals[ai].release <= t:
             timed = arrivals[ai]
             ai += 1
-            if _room():
+            if high_water is None or len(pending) < high_water:
                 _admit(timed)
-            elif admission.policy == "strict":
-                raise OverloadError(
-                    f"t={t}: release of transaction {timed.txn.tid} with "
-                    f"{len(pending)} pending >= high-water "
-                    f"{admission.high_water}"
+                continue
+            shed.append((
+                timed.txn.tid,
+                f"{len(pending)} pending >= high-water {high_water} at t={t}",
+            ))
+            if rec.enabled:
+                rec.record(
+                    obs_events.AdmissionEvent(
+                        t, timed.txn.tid, "shed", len(pending)
+                    )
                 )
-            elif admission.policy == "shed":
-                shed.append((
-                    timed.txn.tid,
-                    f"{len(pending)} pending >= high-water "
-                    f"{admission.high_water} at t={t}",
-                ))
-                if rec.enabled:
-                    rec.record(
-                        obs_events.AdmissionEvent(
-                            t, timed.txn.tid, "shed", len(pending)
-                        )
-                    )
-                    rec.count("resilient.shed")
-            else:
-                deferred.append(timed)
-                deferred_admissions += 1
-                if rec.enabled:
-                    rec.record(
-                        obs_events.AdmissionEvent(
-                            t, timed.txn.tid, "defer", len(pending)
-                        )
-                    )
-                    rec.count("resilient.deferred")
+                rec.count("resilient.shed")
         # commits: any pending transaction with all objects on-node
         committed_now = [
             txn
@@ -359,8 +328,6 @@ def run_resilient_stepwise(
             nxt.append(crash_seq[ci].time)
         for fl in flights.values():
             nxt.append(fl.hop_end if fl.hop_end is not None else fl.retry_at)
-        if deferred:
-            nxt.append(t + 1)
         t = max(t + 1, min(nxt)) if nxt else t + 1
 
     for tid, ct in commits.items():
@@ -377,7 +344,6 @@ def run_resilient_stepwise(
         committed=len(commits),
         lost=tuple(lost),
         shed=tuple(shed),
-        deferred_admissions=deferred_admissions,
         retries=retries,
         reroutes=reroutes,
         rehomed=rehomed,

@@ -13,7 +13,6 @@ from repro.errors import (
     ReproError,
     SchedulingError,
     ServiceError,
-    SweepTimeoutError,
     TopologyError,
     WorkerCrashError,
 )
@@ -31,7 +30,6 @@ class TestHierarchy:
             FaultError,
             RecoveryError,
             ServiceError,
-            SweepTimeoutError,
             ClusterError,
             WorkerCrashError,
             HeartbeatTimeoutError,
@@ -64,8 +62,6 @@ class TestHierarchy:
             raise WorkerCrashError("worker 3 died")
         with pytest.raises(ClusterError):
             raise HeartbeatTimeoutError("worker 3 went silent")
-        # but a sweep timeout is not a cluster failure
-        assert not issubclass(SweepTimeoutError, ClusterError)
 
     def test_recovery_error_is_a_fault_error(self):
         # callers handling fault-layer failures with one except clause

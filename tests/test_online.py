@@ -109,12 +109,15 @@ class TestRunOnline:
         res = run_resilient(wl)
         assert len(res.schedule.commit_times) == wl.m
 
-    def test_max_steps_guard(self):
+    def test_max_steps_guard(self, monkeypatch):
         from repro.errors import SchedulingError
 
+        # the step guard grows with the diameter; a negative one puts it
+        # below the first step, as a livelocked run would overrun it
         wl = tiny_workload()
+        monkeypatch.setattr(wl.instance.network, "diameter", lambda: -100)
         with pytest.raises(SchedulingError, match="exceeded"):
-            run_resilient(wl, max_steps=1)
+            run_resilient(wl)
 
     def test_priority_helpers_cover_all(self):
         wl = tiny_workload()
@@ -140,9 +143,8 @@ class TestEpochBatched:
         assert res.makespan == res.schedule.makespan
         assert res.report.as_dict() == {
             "released": 20, "committed": 20, "lost": 0, "shed": 0,
-            "commit_rate": 1.0, "shed_fraction": 0.0,
-            "deferred_admissions": 0, "retries": 0, "reroutes": 0,
-            "rehomed": 0, "faults": 0, "violations": 0,
+            "commit_rate": 1.0, "shed_fraction": 0.0, "retries": 0,
+            "reroutes": 0, "rehomed": 0, "faults": 0, "violations": 0,
         }
         assert res.report.sanitizer_checks == 0
 

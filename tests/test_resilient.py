@@ -6,7 +6,7 @@ import pytest
 from online_oracle import run_online
 
 from repro.core import Transaction
-from repro.errors import FaultError, OverloadError
+from repro.errors import FaultError
 from repro.faults import (
     FaultPlan,
     LinkFailure,
@@ -17,7 +17,6 @@ from repro.faults import (
 )
 from repro.network import clique, cluster, grid, line
 from repro.online import (
-    AdmissionControl,
     OnlineWorkload,
     TimedTransaction,
     poisson_workload,
@@ -47,13 +46,7 @@ def stream(net, count, seed, rate=1.0):
 class TestAdmissionControl:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="high_water"):
-            AdmissionControl(0)
-        with pytest.raises(ValueError, match="policy"):
-            AdmissionControl(4, "panic")
-
-    def test_policies_enumerated(self):
-        for policy in ("defer", "shed", "strict"):
-            assert AdmissionControl(2, policy).policy == policy
+            run_resilient(tiny_workload(), high_water=0)
 
 
 def _assert_same_result(res, healthy):
@@ -221,16 +214,9 @@ class TestCrashRecovery:
 
 
 class TestAdmissionPolicies:
-    def test_defer_commits_everything_eventually(self):
-        wl = stream(grid(4), count=14, seed=11, rate=3.0)
-        res = run_resilient(wl, admission=AdmissionControl(3, "defer"))
-        assert res.report.committed == wl.m
-        assert res.report.deferred_admissions > 0
-        assert not res.report.shed
-
     def test_shed_refuses_past_high_water(self):
         wl = stream(grid(4), count=14, seed=11, rate=3.0)
-        res = run_resilient(wl, admission=AdmissionControl(3, "shed"))
+        res = run_resilient(wl, high_water=3)
         rep = res.report
         assert rep.shed  # the burst must overflow a high-water of 3
         assert rep.committed + len(rep.shed) == wl.m
@@ -238,22 +224,17 @@ class TestAdmissionPolicies:
         assert all("high-water" in reason for _, reason in rep.shed)
         assert res.schedule is None
 
-    def test_strict_raises_overload(self):
-        wl = stream(grid(4), count=14, seed=11, rate=3.0)
-        with pytest.raises(OverloadError, match="high-water"):
-            run_resilient(wl, admission=AdmissionControl(1, "strict"))
-
     def test_wide_high_water_is_invisible(self):
         wl = stream(grid(4), count=10, seed=12)
         plain = run_resilient(wl)
-        gated = run_resilient(wl, admission=AdmissionControl(10**6, "shed"))
+        gated = run_resilient(wl, high_water=10**6)
         assert gated.commits == plain.commits
 
 
 class TestReportRendering:
     def test_render_and_as_dict(self):
         wl = stream(grid(4), count=12, seed=13, rate=3.0)
-        res = run_resilient(wl, admission=AdmissionControl(3, "shed"))
+        res = run_resilient(wl, high_water=3)
         rep = res.report
         text = rep.render()
         assert f"committed {rep.committed}/{rep.released}" in text

@@ -7,8 +7,9 @@ flight one hop per visited step and rescans everything.  They must agree
 on every observable: commits, releases, the schedule, the degradation
 report (all fields but the sanitizer's check count), the recorded event
 stream and metrics, sanitizer violations, and the type and message of any
-error -- on every topology, under crashes, permanent failures, admission
-control, random and tied priorities, and tight retry policies.
+error -- on every topology, under crashes, permanent failures, high-water
+shedding, random and tied priorities, and tight retry policies.  The
+engine's ``lost_at`` must match the times of the lost events it records.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from online_oracle import run_online
 from resilient_oracle import run_resilient_stepwise
 
 from repro.core import Transaction
-from repro.errors import FaultError, OverloadError, SchedulingError
+from repro.errors import FaultError, SchedulingError
 from repro.faults import (
     FaultPlan,
     NodeCrash,
@@ -33,9 +34,8 @@ from repro.faults import (
 )
 from repro.network import clique, cluster, grid, hypercube, line, star
 from repro.obs import MemoryRecorder
-from repro.obs.events import DispatchEvent, LeaseRecoveryEvent
+from repro.obs.events import DispatchEvent, LeaseRecoveryEvent, LostEvent
 from repro.online import (
-    AdmissionControl,
     OnlineWorkload,
     TimedTransaction,
     poisson_workload,
@@ -54,12 +54,7 @@ TOPOLOGIES = {
     "hypercube": lambda: hypercube(3),
     "star": lambda: star(3, 3),
 }
-ADMISSION = {
-    "none": None,
-    "defer": AdmissionControl(3, "defer"),
-    "shed": AdmissionControl(3, "shed"),
-    "strict": AdmissionControl(5, "strict"),
-}
+ADMISSION = {"none": None, "shed": 3}  # the high-water mark
 POLICIES = {
     "default": RetryPolicy(),
     "tight": RetryPolicy(max_retries=3, max_wait=4),
@@ -72,7 +67,7 @@ def flat_priority(workload, rng=None):
     return {a.txn.tid: (0,) for a in workload.arrivals}
 
 
-def _outcome(runner, wl, plan, prio, seed, admission, policy):
+def _outcome(runner, wl, plan, prio, seed, high_water, policy):
     """Everything one run exposes, or the error it raised."""
     rec = MemoryRecorder()
     san = InvariantSanitizer(raise_on_violation=False)
@@ -80,11 +75,15 @@ def _outcome(runner, wl, plan, prio, seed, admission, policy):
     try:
         res = runner(
             wl, plan, priority=prio, rng=rng, policy=policy,
-            admission=admission, sanitizer=san, recorder=rec,
+            high_water=high_water, sanitizer=san, recorder=rec,
         )
-    except (FaultError, OverloadError, SchedulingError) as exc:
+    except (FaultError, SchedulingError) as exc:
         out = (type(exc).__name__, str(exc))
     else:
+        if runner is run_resilient:
+            assert res.lost_at == {
+                e.tid: e.time for e in rec.events if isinstance(e, LostEvent)
+            }
         out = (
             res.commits,
             res.release,
@@ -95,10 +94,10 @@ def _outcome(runner, wl, plan, prio, seed, admission, policy):
 
 
 def _assert_parity(wl, plan, prio=timestamp_priority, seed=0,
-                   admission=None, policy=RetryPolicy()):
-    fast = _outcome(run_resilient, wl, plan, prio, seed, admission, policy)
+                   high_water=None, policy=RetryPolicy()):
+    fast = _outcome(run_resilient, wl, plan, prio, seed, high_water, policy)
     slow = _outcome(
-        run_resilient_stepwise, wl, plan, prio, seed, admission, policy
+        run_resilient_stepwise, wl, plan, prio, seed, high_water, policy
     )
     assert fast == slow
     return fast

@@ -36,7 +36,7 @@ from repro.faults.plan import (
 from repro.network import TOPOLOGY_INFO, clique, grid, line
 from repro.network.registry import network_from_sizes
 from repro.obs import MemoryRecorder
-from repro.obs.events import LostEvent
+from repro.obs.events import CrashEvent, LostEvent
 from repro.online.arrivals import OnlineWorkload
 from repro.service import (
     SaturationDetector,
@@ -377,6 +377,42 @@ class TestFaults:
             if node_of[int(tid)] == 3 and t >= 5
         ]
         assert late == []
+
+    @pytest.mark.parametrize("crash_at", [5, 6, 7])
+    def test_a_reactive_loss_is_stamped_when_it_happens(self, crash_at):
+        # node 3 crashes while window 0's batch runs: the batch's tid 0,
+        # hosted there, is lost at the crash, not when the batch started
+        rec = MemoryRecorder()
+        svc = SchedulingService(
+            PoissonStream(grid(3), w=8, k=2, rate=1.2, rng=spawn(0, "p"),
+                          limit=80),
+            ServiceConfig(window=4, high_water=64, slope_threshold=1000.0),
+            plan=FaultPlan([NodeCrash(3, crash_at)]), recorder=rec,
+        )
+        svc.run()
+        lost = [e for e in rec.events if isinstance(e, LostEvent)
+                and e.reason == "node 3 crashed"]
+        assert lost
+        assert all(e.time >= crash_at for e in lost)
+        assert LostEvent(crash_at, 0, "node 3 crashed") in lost
+
+    def test_the_crash_the_last_batch_meets_is_recorded(self):
+        # the only batch runs past its window into node 4's crash at t=8,
+        # and the run ends with that window: crash and loss both recorded
+        # once, at the crash
+        rec = MemoryRecorder()
+        svc = SchedulingService(
+            _BurstOnceStream(line(5), count=5, rng=spawn(11, "burst")),
+            ServiceConfig(window=4), plan=FaultPlan([NodeCrash(4, 8)]),
+            recorder=rec,
+        )
+        rep = svc.run()
+        assert (rep.windows, rep.committed, rep.lost) == (1, 4, 1)
+        outcomes = [e for e in rec.events
+                    if isinstance(e, (CrashEvent, LostEvent))]
+        assert outcomes == [
+            CrashEvent(8, 4), LostEvent(8, 4, "node 4 crashed"),
+        ]
 
     def test_a_failed_window_loses_what_its_crash_doomed(self):
         # node 1 crashes while window 0's batch runs, then the cut link

@@ -4,14 +4,13 @@ The robustness contract is conservation: nothing the stream releases is
 ever silently dropped.  Two layers are exercised under arbitrary drawn
 policies:
 
-* :class:`repro.online.AdmissionControl` inside :func:`run_resilient`:
-  ``committed + lost + shed == released`` for any watermark and any
-  defer/shed interleaving (strict runs either satisfy the identity or
-  raise :class:`OverloadError` -- never a partial, silent result);
+* high-water shedding inside :func:`run_resilient`: ``committed + lost
+  + shed == released`` for any watermark;
 * the :class:`repro.service.SchedulingService` loop: ``committed + shed
   + expired + lost + final_backlog == released`` for any drawn window
   length, high-water mark, policy, deadline, and rate -- including runs
-  that saturate and flip into shed mode mid-stream.
+  that saturate and flip into shed mode mid-stream, with the report's
+  mean and peak backlog those of the queue after each window.
 
 The service settles each window's admissions and commits in slices;
 :mod:`service_oracle` keeps the one-at-a-time form, and the two must
@@ -29,8 +28,8 @@ from repro.errors import OverloadError
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.network import clique, grid, line
 from repro.obs import MemoryRecorder
-from repro.online import AdmissionControl, poisson_workload, run_resilient
-from repro.service import SchedulingService, ServiceConfig, run_service
+from repro.online import poisson_workload, run_resilient
+from repro.service import SchedulingService, ServiceConfig
 from repro.workloads import PoissonStream, root_rng, spawn
 
 _NETS = {"clique": clique(12), "grid": grid(4), "line": line(9)}
@@ -42,23 +41,17 @@ def admission_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     count = draw(st.integers(min_value=2, max_value=9))
     high_water = draw(st.integers(min_value=1, max_value=10))
-    policy = draw(st.sampled_from(["defer", "shed", "strict"]))
-    return topo, seed, count, high_water, policy
+    return topo, seed, count, high_water
 
 
 @given(admission_cases())
 @settings(max_examples=40, deadline=None)
 def test_admission_accounting_identity(case):
-    topo, seed, count, high_water, policy = case
+    topo, seed, count, high_water = case
     net = _NETS[topo]
     wl = poisson_workload(net, w=8, k=2, rate=1.0, count=count,
                           rng=root_rng(seed))
-    admission = AdmissionControl(high_water, policy)
-    try:
-        res = run_resilient(wl, admission=admission)
-    except OverloadError:
-        assert policy == "strict"  # only strict may refuse by raising
-        return
+    res = run_resilient(wl, high_water=high_water)
     rep = res.report
     assert rep.committed + len(rep.lost) + len(rep.shed) == rep.released
     assert rep.released == wl.m
@@ -91,12 +84,17 @@ def test_service_accounting_identity(case):
                            rng=spawn(seed, "prop", topo))
     cfg = ServiceConfig(window=window, high_water=high_water, admission=policy,
                         deadline=deadline)
-    rep = run_service(stream, windows=windows, config=cfg)
+    service = SchedulingService(stream, config=cfg)
+    queues = []
+    for index in range(windows):
+        service.run_window(index)
+        queues.append(service.queue_length)
+    rep = service.report()
     assert rep.accounted
     assert rep.windows == windows
     assert rep.admitted <= rep.released
-    assert len(rep.backlog_curve) == windows
-    assert rep.peak_backlog == max(rep.backlog_curve, default=0)
+    assert rep.mean_backlog == sum(queues) / windows
+    assert rep.peak_backlog == max(queues)
 
 
 @st.composite

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-import repro.experiments.sweep as sweep_mod
-from repro.errors import ReproError, SweepTimeoutError
+from repro.errors import ReproError
 from repro.experiments.sweep import SweepReport, run_sweep, sweep_shards
 from repro.obs import MemoryRecorder
 
@@ -92,62 +89,3 @@ class TestValidation:
             ("e3", 4, True),
             ("e3", 5, True),
         ]
-
-    def test_bad_cell_timeout(self):
-        with pytest.raises(ReproError, match="cell_timeout"):
-            run_sweep(["e3"], seeds=[0], cell_timeout=0)
-
-    def test_bad_on_timeout_policy(self):
-        with pytest.raises(ReproError, match="on_timeout"):
-            run_sweep(["e3"], seeds=[0], cell_timeout=5.0,
-                      on_timeout="retry")
-
-
-def _hang_on_seed_one(shard):
-    """Stand-in worker: hangs forever on seed 1, real result otherwise.
-
-    Monkeypatched over ``_run_shard``; fork-pool children inherit the
-    patched module, so the hang happens inside a real worker process.
-    """
-    if shard[1] == 1:
-        time.sleep(600)
-    return _hang_on_seed_one.original(shard)
-
-
-class TestCellTimeout:
-    @pytest.fixture(autouse=True)
-    def _patch_hang(self, monkeypatch):
-        _hang_on_seed_one.original = sweep_mod._run_shard
-        monkeypatch.setattr(sweep_mod, "_run_shard", _hang_on_seed_one)
-
-    def test_hung_cell_recorded_and_sweep_completes(self):
-        rec = MemoryRecorder()
-        report = run_sweep(
-            ["e3"], seeds=[0, 1, 2], quick=True, workers=2,
-            cell_timeout=3.0, recorder=rec,
-        )
-        by_seed = {c["seed"]: c for c in report.cells}
-        assert set(by_seed) == {0, 1, 2}  # every cell present, in order
-        assert "error" not in by_seed[0] and "error" not in by_seed[2]
-        err = by_seed[1]["error"]
-        assert err["type"] == "SweepTimeoutError"
-        assert "seed 1" in err["message"]
-        # the timed-out cell has a profile entry flagged as a timeout
-        prof = {p["seed"]: p for p in report.profiles}[1]
-        assert prof.get("timeout") is True
-        snap = rec.registry.snapshot()
-        assert snap["counters"]["sweep.timeouts"] == 1
-        assert snap["counters"]["sweep.cells"] == 3
-
-    def test_strict_policy_raises_typed_error(self):
-        with pytest.raises(SweepTimeoutError, match="seed 1"):
-            run_sweep(["e3"], seeds=[1], quick=True, workers=1,
-                      cell_timeout=1.0, on_timeout="strict")
-
-    def test_timeout_forces_pool_path_for_single_worker(self):
-        # workers=1 with a timeout must still bound the hung cell
-        t0 = time.monotonic()
-        report = run_sweep(["e3"], seeds=[1], quick=True, workers=1,
-                           cell_timeout=1.0)
-        assert time.monotonic() - t0 < 30
-        assert "error" in report.cells[0]
