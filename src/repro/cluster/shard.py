@@ -28,13 +28,18 @@ the first stream *step* the worker owns it from.  A replacement worker
 spawned after a straggler is shed takes over the retired worker's class
 from the handoff window onward (``owned_from = {c: handoff_step}``),
 so every arrival is owned by exactly one worker across the whole run.
+
+Every worker still draws every arrival, which keeps the generators
+aligned, but reads each as a plain row and builds transactions only for
+the rows it owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..core.transaction import Transaction
 from ..errors import ClusterError
 from ..network.graph import Network
 from ..network.sharding import node_shards
@@ -190,51 +195,45 @@ class ShardedStream:
         """Owned cross-shard arrivals so far (0 under ``assign="tid"``)."""
         return self._cross
 
-    def _home_shards(self, txn) -> set:
-        """Network shards homing ``txn``'s objects (empty when object-free)."""
-        homes = self.base.object_homes
-        return {self._shard_of[homes[obj]] for obj in txn.objects}
+    def _assign(
+        self, tid: int, node: int, objects: Tuple[int, ...]
+    ) -> Tuple[int, bool]:
+        """One arrival's assignment class, and whether it crosses shards.
 
-    def class_of(self, txn) -> int:
-        """Deterministic assignment class of one transaction.
-
-        ``"tid"`` mode is the plain residue class.  ``"shard"`` mode is
-        the coordinator handoff: the smallest network shard homing any
-        of the transaction's objects (its host node's shard when it has
-        none), folded mod ``shards`` -- every worker computes the same
-        coordinator from the spec alone, so cross-shard transactions are
-        owned by exactly one worker with no supervisor traffic.
+        ``"tid"`` mode is the plain residue class, never cross.
+        ``"shard"`` mode is the coordinator handoff: the smallest network
+        shard homing any of the arrival's objects (its host node's shard
+        when it has none), folded mod ``shards`` -- every worker computes
+        the same coordinator from the spec alone, so cross-shard arrivals
+        (objects homed in >= 2 network shards) are owned by exactly one
+        worker with no supervisor traffic.
         """
-        if self.assign == "tid":
-            return txn.tid % self.shards
-        shards = self._home_shards(txn)
-        coordinator = min(shards) if shards else self._shard_of[txn.node]
-        return coordinator % self.shards
-
-    def owns(self, txn, release: int) -> bool:
-        """True iff this shard owns ``txn`` released at step ``release``."""
-        start = self.owned_from.get(self.class_of(txn))
-        return start is not None and release >= start
+        if self._shard_of is None:
+            return tid % self.shards, False
+        homes = self.base.object_homes
+        shards = {self._shard_of[homes[obj]] for obj in objects}
+        coordinator = min(shards) if shards else self._shard_of[node]
+        return coordinator % self.shards, len(shards) >= 2
 
     def window(self, start: int, end: int) -> List[TimedTransaction]:
         """Owned arrivals in ``[start, end)``; unowned draws are discarded.
 
-        The base stream still generates every arrival (keeping the
-        generator aligned across all workers); this shard keeps only the
-        residue classes it owns at each release step.  Under
-        ``assign="shard"`` the owned cross-shard arrivals (objects homed
-        in >= 2 network shards) are tallied in :attr:`cross_released`.
+        The base stream still draws every arrival (keeping the generator
+        aligned across all workers), as rows; this shard builds
+        transactions only for the rows of the classes it owns at their
+        release step.  Under ``assign="shard"`` the owned cross-shard
+        arrivals are tallied in :attr:`cross_released`.
         """
-        kept = [
-            tt
-            for tt in self.base.window(start, end)
-            if self.owns(tt.txn, tt.release)
-        ]
+        kept: List[TimedTransaction] = []
+        for release, tid, node, objects in self.base.rows(start, end):
+            cls, cross = self._assign(tid, node, objects)
+            first = self.owned_from.get(cls)
+            if first is not None and release >= first:
+                kept.append(
+                    TimedTransaction(release, Transaction(tid, node, objects))
+                )
+                self._cross += cross
         self._released += len(kept)
-        if self._shard_of is not None:
-            self._cross += sum(
-                1 for tt in kept if len(self._home_shards(tt.txn)) >= 2
-            )
         return kept
 
     # ------------------------------------------------------------------ #

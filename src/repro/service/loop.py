@@ -342,11 +342,18 @@ class SchedulingService:
                 self._rec.record(obs_events.CrashEvent(ev.time, ev.node))
         self._crash_recorded = max(self._crash_recorded, count)
 
-    def _mark_crashes(self, span_end: int, now: int) -> None:
-        """Consume global crashes up to ``span_end``; record each not yet
+    def _mark_crashes(self, span_end: int) -> None:
+        """Consume global crashes before ``span_end``; record each not yet
         recorded, update dead sets and lose the backlog entries each
-        crash dooms, at its time or at ``now`` if later (deferred entries
-        meet the check at admission).
+        crash dooms at the crash's own time, since they were pending when
+        the node died (deferred entries meet the check at admission).
+
+        The service's clock drives consumption: a window consumes the
+        crashes at or before its ``exec_start`` and a failed window those
+        before the end of the window it burns, so no crash dooms a
+        release the service admits before the crash happens.  A batch
+        meets later crashes through its plan slice without consuming
+        them.
         """
         while (
             self._crash_cursor < len(self._crash_seq)
@@ -366,7 +373,7 @@ class SchedulingService:
                 if reason is None:
                     keep.append(e)
                 else:
-                    self._lose(e.txn.tid, reason, max(now, ev.time))
+                    self._lose(e.txn.tid, reason, ev.time)
             self._backlog = keep
 
     def _window_plan(
@@ -494,9 +501,7 @@ class SchedulingService:
         # reactive: run_resilient on the service's clock, the batch
         # released at the first step a commit can land; the service
         # records its outcomes, so the run gets no recorder
-        first_crash = self._crash_cursor
-        self._mark_crashes(exec_start + self.config.window, exec_start)
-        crashes = self._crash_seq[first_crash:]
+        crashes = self._crash_seq[self._crash_cursor:]
         release = exec_start + 1
         workload = OnlineWorkload(
             self.stream.network,
@@ -511,9 +516,12 @@ class SchedulingService:
                     policy=self.config.retry,
                 )
             except FaultError:
-                # unabsorbable fault: burn the window, back off, retry bounded
-                self._requeue_failed(batch, window_index, exec_start)
-                self._busy_until = exec_start + self.config.window
+                # unabsorbable fault: burn the window, consume the crashes
+                # it burns through, back off, retry bounded
+                burnt = exec_start + self.config.window
+                self._mark_crashes(burnt)
+                self._requeue_failed(batch, window_index, burnt)
+                self._busy_until = burnt
                 self._busy += self.config.window
                 return
             last = max(res.commits.values(), default=exec_start)
@@ -547,9 +555,9 @@ class SchedulingService:
         exec_start = max(arrival_end, self._busy_until)
         arrivals = self.stream.window(arrival_start, arrival_end)
         self._released += len(arrivals)
-        # consume crashes the arrival clock has reached even when no
-        # batch runs this window (the node is dead either way)
-        self._mark_crashes(arrival_end, exec_start)
+        # consume the crashes at or before the step this window admits
+        # at, even when no batch runs (the node is dead either way)
+        self._mark_crashes(exec_start + 1)
         # deferred releases re-apply first (FIFO), then new arrivals
         entries = self._deferred + [
             _Entry(timed.txn, timed.release) for timed in arrivals

@@ -22,6 +22,13 @@ produces the same arrival sequence, node placement, object draws, and
 homes.  Objects are homed once, at construction, at seeded uniformly
 random nodes (there is no finite transaction set to place them at, so
 the batch generators' home-at-a-requester rule does not apply).
+
+The uniform draws are numpy's own, made here: :func:`bounded` is the
+32-bit Lemire step behind ``Generator.integers(n)`` and :func:`sample`
+the Floyd selection and shuffle behind ``Generator.choice(w, k,
+replace=False)``, both on the bit generator's ``next_uint32``.  They
+yield the values numpy yields and leave the generator in the state
+numpy leaves it, without numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -37,6 +44,59 @@ from ..online.arrivals import TimedTransaction
 
 __all__ = ["ArrivalStream", "PoissonStream", "MMPPStream", "AdversarialStream"]
 
+#: one arrival as ``(release, tid, node, objects)``
+Row = Tuple[int, int, int, Tuple[int, ...]]
+
+_MASK32 = 0xFFFFFFFF
+
+
+def bounded(iface, n: int) -> int:
+    """A uniform draw from ``range(n)``, ``1 <= n <= 2**32``: the value
+    ``Generator.integers(n)`` draws, from the same generator words.
+
+    ``iface`` is the generator's ``bit_generator.ctypes`` interface.
+    One step of Lemire's method on its ``next_uint32``: ``m = u * n``,
+    redrawn while ``m mod 2**32 < (2**32 - n) mod n``; the value is
+    ``m >> 32``.  ``n == 1`` draws nothing.
+    """
+    if n == 1:
+        return 0
+    draw, state = iface.next_uint32, iface.state
+    m = draw(state) * n
+    if m & _MASK32 < n:
+        threshold = (_MASK32 + 1 - n) % n
+        while m & _MASK32 < threshold:
+            m = draw(state) * n
+    return m >> 32
+
+
+def sample(iface, w: int, k: int) -> List[int]:
+    """A uniform ``k``-subset of ``range(w)`` in random order: the list
+    ``Generator.choice(w, k, replace=False)`` draws, order included.
+
+    Like numpy, a large draw (``w > 10000`` and ``k > w // 50``) takes
+    the last ``k`` of a partial Fisher--Yates shuffle of ``range(w)``;
+    any other runs Floyd's selection and then shuffles the ``k`` picks.
+    """
+    if w > 10000 and k > w // 50:
+        pool = list(range(w))
+        for i in range(w - 1, max(w - k, 1) - 1, -1):
+            j = bounded(iface, i + 1)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[w - k:]
+    picks: List[int] = []
+    taken = set()
+    for j in range(w - k, w):
+        v = bounded(iface, j + 1)
+        if v in taken:
+            v = j  # j exceeds every earlier pick, so it is never taken
+        taken.add(v)
+        picks.append(v)
+    for i in range(k - 1, 0, -1):
+        j = bounded(iface, i + 1)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
 
 class ArrivalStream:
     """Base class: a deterministic, clocked arrival process.
@@ -46,8 +106,13 @@ class ArrivalStream:
     :meth:`_draw_node`.  The base class assigns monotonically increasing
     tids, draws nodes and object sets, and enforces an optional ``limit``
     on total arrivals (a finite stream for parity tests).  Consumption is
-    strictly forward: :meth:`window` must be called with contiguous
-    half-open step ranges.
+    strictly forward: :meth:`rows` (and :meth:`window`, which wraps its
+    rows as transactions) must be called with contiguous half-open step
+    ranges.
+
+    The stream fetches ``rng.bit_generator.ctypes`` on every draw rather
+    than keeping it: numpy caches the interface, and a stream that held
+    it could not be deep-copied or pickled.
     """
 
     def __init__(
@@ -68,8 +133,9 @@ class ArrivalStream:
         self.limit = limit
         self._rng = rng
         # homes are drawn first so arrival draws never perturb them
+        iface = rng.bit_generator.ctypes
         self.object_homes: Dict[int, int] = {
-            o: int(rng.integers(net.n)) for o in range(self.w)
+            o: bounded(iface, net.n) for o in range(self.w)
         }
         self._next_tid = 0
         self._clock = 0  # next step to be generated
@@ -84,14 +150,11 @@ class ArrivalStream:
 
     def _draw_node(self) -> int:
         """Host node for the next transaction (uniform by default)."""
-        return int(self._rng.integers(self.network.n))
+        return bounded(self._rng.bit_generator.ctypes, self.network.n)
 
     def _draw_objects(self) -> Tuple[int, ...]:
         """Object set for the next transaction (uniform ``k``-subset)."""
-        return tuple(
-            int(o)
-            for o in self._rng.choice(self.w, size=self.k, replace=False)
-        )
+        return tuple(sample(self._rng.bit_generator.ctypes, self.w, self.k))
 
     # ------------------------------------------------------------------ #
     # consumption
@@ -112,8 +175,9 @@ class ArrivalStream:
         """True iff a finite stream has released its full ``limit``."""
         return self.limit is not None and self._next_tid >= self.limit
 
-    def window(self, start: int, end: int) -> List[TimedTransaction]:
-        """Arrivals with release in ``[start, end)``, in release order.
+    def rows(self, start: int, end: int) -> List[Row]:
+        """Arrivals with release in ``[start, end)``, in release order, as
+        plain ``(release, tid, node, objects)`` rows.
 
         ``start`` must equal the stream's clock (windows are consumed
         contiguously; re-reading or skipping steps would break the
@@ -126,7 +190,7 @@ class ArrivalStream:
             )
         if end < start:
             raise InstanceError(f"bad window [{start}, {end})")
-        out: List[TimedTransaction] = []
+        out: List[Row] = []
         for t in range(start, end):
             if self.exhausted:
                 break
@@ -134,13 +198,20 @@ class ArrivalStream:
             if self.limit is not None:
                 n_arr = min(n_arr, self.limit - self._next_tid)
             for _ in range(n_arr):
-                txn = Transaction(
-                    self._next_tid, self._draw_node(), self._draw_objects()
+                out.append(
+                    (t, self._next_tid, self._draw_node(), self._draw_objects())
                 )
-                out.append(TimedTransaction(release=t, txn=txn))
                 self._next_tid += 1
         self._clock = max(self._clock, end)
         return out
+
+    def window(self, start: int, end: int) -> List[TimedTransaction]:
+        """Arrivals with release in ``[start, end)``, in release order
+        (:meth:`rows` as transactions)."""
+        return [
+            TimedTransaction(release, Transaction(tid, node, objects))
+            for release, tid, node, objects in self.rows(start, end)
+        ]
 
     # ------------------------------------------------------------------ #
     # checkpointing

@@ -414,6 +414,33 @@ class TestFaults:
             CrashEvent(8, 4), LostEvent(8, 4, "node 4 crashed"),
         ]
 
+    def test_no_crash_dooms_a_release_before_it_happens(self):
+        # window 6's batch meets node 0's crash at t=36 but ends at 35, so
+        # window 7 admits at 35 while node 0 is still up: nothing may be
+        # lost to that crash before it happens
+        stream = PoissonStream(grid(3), w=6, k=2, rate=0.8,
+                               rng=spawn(0, "p"), limit=40)
+        dead_objects = {
+            o for o, home in stream.object_homes.items() if home == 0}
+        rec = MemoryRecorder()
+        svc = SchedulingService(
+            stream, ServiceConfig(window=4),
+            plan=FaultPlan([NodeCrash(0, 36)]), recorder=rec,
+        )
+        assert svc.run().accounted
+        lost = [e for e in rec.events if isinstance(e, LostEvent)]
+        txn_of = {
+            tt.txn.tid: tt.txn for tt in PoissonStream(
+                grid(3), w=6, k=2, rate=0.8, rng=spawn(0, "p"),
+                limit=40).take(40)
+        }
+        doomed = [e for e in lost
+                  if txn_of[e.tid].node == 0
+                  or txn_of[e.tid].objects & dead_objects]
+        assert doomed  # the crash does doom releases, from t=36 on
+        assert all(e.time >= 36 for e in doomed)
+        assert LostEvent(36, 15, "node 0 crashed") in lost
+
     def test_a_failed_window_loses_what_its_crash_doomed(self):
         # node 1 crashes while window 0's batch runs, then the cut link
         # fails the window: tid 1 must not be requeued and commit on the
