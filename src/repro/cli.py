@@ -336,8 +336,6 @@ def _cmd_cluster(args) -> int:
         retry=RetryPolicy(max_retries=args.max_restarts, max_wait=4),
         restart_backoff_s=0.02,
         checkpoint_every=args.checkpoint_every,
-        on_crash=args.on_crash,
-        on_straggler=args.on_straggler,
     )
     report = run_cluster(
         args.topology, args.size, args.size2, stream, svc, config,
@@ -731,16 +729,12 @@ def main(argv: list[str] | None = None) -> int:
                       help="inject a chaos event (kill/stall/delay); "
                            "repeatable; defaults: worker 1, mid-run window")
     p_cl.add_argument("--heartbeat-timeout", type=float, default=2.0,
-                      help="seconds of silence before a worker is a "
-                           "straggler")
+                      help="seconds of silence before a worker is "
+                           "killed and restarted like a dead one")
     p_cl.add_argument("--max-restarts", type=int, default=3,
                       help="per-worker restart budget before retirement")
     p_cl.add_argument("--checkpoint-every", type=int, default=8,
                       help="windows between full state checkpoints")
-    p_cl.add_argument("--on-crash", default="restart",
-                      choices=["restart", "strict"])
-    p_cl.add_argument("--on-straggler", default="restart",
-                      choices=["restart", "shed", "strict"])
     p_cl.add_argument("--parity", action="store_true",
                       help="also run fault-free and verify the chaos run's "
                            "parity_key matches (exit 1 on mismatch)")

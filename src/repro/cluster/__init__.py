@@ -3,11 +3,13 @@
 A supervisor (:func:`run_cluster`) forks N worker processes, each
 running a :class:`~repro.service.SchedulingService` over a deterministic
 residue-class shard of the shared arrival stream, and keeps the fleet
-healthy: heartbeat liveness detection, bounded deterministic restarts
-(:class:`~repro.faults.backoff.RetryPolicy`), per-worker write-ahead
-window journals with checkpoints so a crashed worker replays exactly
-where it left off, straggler shedding with ownership handoff, and
-deterministic chaos injection (:class:`ChaosPlan`) to prove all of it.
+healthy: heartbeat liveness detection, per-worker write-ahead window
+journals with checkpoints, one recovery rule for a worker that died or
+went silent -- restart from its journal, exactly where it left off,
+within a bounded deterministic budget
+(:class:`~repro.faults.backoff.RetryPolicy`), then retire it with its
+queued work counted ``lost`` -- and deterministic chaos injection
+(:class:`ChaosPlan`) to prove all of it.
 
 The headline guarantee: a run with injected kills commits the same
 transaction set as the fault-free run -- the merged

@@ -1,11 +1,11 @@
 """Cluster configuration: supervision, liveness, and recovery knobs.
 
-:class:`ClusterConfig` bundles every policy the supervisor applies --
+:class:`ClusterConfig` bundles every setting the supervisor applies --
 worker count, run length, heartbeat liveness deadlines, the bounded
-restart budget (the shared :class:`~repro.faults.backoff.RetryPolicy`),
-checkpoint cadence, and what to do about crashes and stragglers.
-Validation happens at construction, so a bad cluster fails before the
-first fork, not after three workers have already journaled state.
+restart budget (the shared :class:`~repro.faults.backoff.RetryPolicy`)
+and checkpoint cadence.  Validation happens at construction, so a bad
+cluster fails before the first fork, not after three workers have
+already journaled state.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from ..errors import ClusterError
 from ..faults.backoff import RetryPolicy
 
 __all__ = ["ClusterConfig"]
-
-_CRASH_POLICIES = ("restart", "strict")
-_STRAGGLER_POLICIES = ("restart", "shed", "strict")
 
 
 @dataclass(frozen=True)
@@ -35,10 +32,10 @@ class ClusterConfig:
         Arrival windows every worker runs (the cluster's logical length).
     heartbeat_timeout_s:
         Wall-clock liveness deadline: a worker that produces no message
-        for this long while its process is alive is declared a
-        straggler.  Detection timing is wall-clock, but because chaos
-        and recovery act at window boundaries the recovered *outcome*
-        is deterministic.
+        for this long while its process is alive is a straggler, killed
+        and recovered exactly like a worker that died.  Detection timing
+        is wall-clock, but because chaos and recovery act at window
+        boundaries the recovered *outcome* is deterministic.
     poll_interval_s:
         Supervisor event-loop tick (upper bound on detection latency
         added to the timeout).
@@ -47,29 +44,21 @@ class ClusterConfig:
         :class:`~repro.faults.backoff.RetryPolicy` every fault path in
         the repo shares (and the same field name
         :class:`~repro.service.ServiceConfig` uses).  Restart ``i`` waits
-        ``retry.wait(i) * restart_backoff_s`` seconds; a worker
-        crashing more than ``retry.max_retries`` times is retired
-        (queued work counted ``lost``) or, under ``on_crash="strict"``,
-        raises :class:`~repro.errors.WorkerCrashError`.
+        ``retry.wait(i) * restart_backoff_s`` seconds; a worker that
+        dies or goes silent more than ``retry.max_retries`` times is
+        retired, its journaled backlog counted ``lost``.
     restart_backoff_s:
         Wall-seconds per backoff unit (small in tests, larger in
         production runs).
     checkpoint_every:
         Windows between full state checkpoints; recovery replays at most
         this many journaled windows.
-    on_crash:
-        ``"restart"`` (default) restarts from the journal within budget;
-        ``"strict"`` raises :class:`~repro.errors.WorkerCrashError` on
-        the first crash.
-    on_straggler:
-        ``"restart"`` kills and restarts the stalled worker from its
-        journal (nothing lost); ``"shed"`` retires it, counts its queued
-        work as shed, and spawns a replacement worker owning the class
-        from the stall window onward; ``"strict"`` raises
-        :class:`~repro.errors.HeartbeatTimeoutError`.
     journal_dir:
         Directory for journals/checkpoints; ``None`` uses a fresh
-        temporary directory removed after the run.
+        temporary directory removed after the run.  A directory that
+        already holds a worker's journal or checkpoint is refused with
+        :class:`~repro.errors.ClusterError`: its history belongs to
+        another run.
     """
 
     workers: int = 2
@@ -78,8 +67,6 @@ class ClusterConfig:
     poll_interval_s: float = 0.05
     restart_backoff_s: float = 0.02
     checkpoint_every: int = 8
-    on_crash: str = "restart"
-    on_straggler: str = "restart"
     journal_dir: Optional[str] = None
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_retries=3, max_wait=4)
@@ -106,14 +93,4 @@ class ClusterConfig:
         if self.checkpoint_every < 1:
             raise ClusterError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.on_crash not in _CRASH_POLICIES:
-            raise ClusterError(
-                f"unknown crash policy {self.on_crash!r}; choose from "
-                f"{_CRASH_POLICIES}"
-            )
-        if self.on_straggler not in _STRAGGLER_POLICIES:
-            raise ClusterError(
-                f"unknown straggler policy {self.on_straggler!r}; choose "
-                f"from {_STRAGGLER_POLICIES}"
             )

@@ -110,9 +110,7 @@ class WindowJournal:
         tmp.write_text(doc, encoding="utf-8")
         os.replace(tmp, self.checkpoint_path)
 
-    def load(
-        self, floor: int = 0
-    ) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
+    def load(self) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
         """Read ``(checkpoint_body | None, journal records past it)``.
 
         Only the owning worker calls this, on recovery: it first cuts a
@@ -122,10 +120,8 @@ class WindowJournal:
         re-verify rather than re-append, but a crash between append and
         send may leave the same window journaled once -- never twice with
         different digests), and filtered to windows at or beyond the
-        checkpoint.  ``floor`` is the worker's start window, used only
-        when no checkpoint exists yet (a replacement worker's journal
-        legitimately begins mid-run).  A contiguity gap means the journal
-        was externally mutilated and raises
+        checkpoint (window 0 without one).  A contiguity gap means the
+        journal was externally mutilated and raises
         :class:`~repro.errors.ClusterError`.
         """
         ckpt: Optional[Dict[str, Any]] = None
@@ -148,8 +144,7 @@ class WindowJournal:
                     f"for window {w}: {prev['digest']} != {rec['digest']}"
                 )
             by_window[w] = rec
-        if ckpt is not None:
-            floor = int(ckpt["window"])
+        floor = int(ckpt["window"]) if ckpt is not None else 0
         tail = [by_window[w] for w in sorted(by_window) if w >= floor]
         expect = floor
         for rec in tail:

@@ -4,10 +4,10 @@
 :class:`~repro.service.ServiceReport` accounting into cluster-wide
 totals and latency percentiles, and carries the supervision story on
 the side: which chaos events were planned, how many restarts the
-supervisor performed, which workers were retired or shed.  The
-cluster-wide conservation identity ``committed + shed + expired + lost
-+ final_backlog == released`` holds exactly -- recovery may *move*
-transactions between outcome buckets (a shed straggler's queue becomes
+supervisor performed, which workers were retired.  The cluster-wide
+conservation identity ``committed + shed + expired + lost +
+final_backlog == released`` holds exactly -- recovery may *move*
+transactions between outcome buckets (a retired worker's queue becomes
 typed loss) but never drops one.
 
 Parity is the crash-tolerance proof: :meth:`ClusterReport.parity_key`
@@ -37,8 +37,9 @@ class ClusterReport:
     """Merged accounting for one supervised multi-process run.
 
     ``per_worker`` holds one outcome summary per worker slot (final
-    incarnation): its residue class ownership, full accounting, and
-    how it ended (``"done"``, ``"retired"``, or ``"shed"``).
+    incarnation): its residue class (``classes == [worker]``, owned
+    from ``start_window == 0``), full accounting, and how it ended
+    (``"done"`` or ``"retired"``).
     ``restarts``, ``stragglers``, ``chaos``, and ``wall_s`` describe
     the *path* taken, not the outcome, and are excluded from parity.
     """

@@ -1,11 +1,12 @@
 """Deterministic arrival-stream sharding for cluster workers.
 
-Every worker owns a residue class of *assignment classes*: worker ``i``
-of ``N`` processes exactly the arrivals whose class is ``i (mod N)``.
-Rather than have the supervisor generate and ship arrivals (a bandwidth
-and ordering headache), each worker builds the *identical* base stream
-from the shared :class:`StreamSpec` -- same seed, same generator, same
-arrival sequence -- and filters it down to its residue classes with a
+Every worker owns one residue class of *assignment classes*: worker
+``i`` of ``N`` processes exactly the arrivals whose class is
+``i (mod N)``, from step 0 to the end of the run.  Rather than have the
+supervisor generate and ship arrivals (a bandwidth and ordering
+headache), each worker builds the *identical* base stream from the
+shared :class:`StreamSpec` -- same seed, same generator, same arrival
+sequence -- and filters it down to its residue class with a
 :class:`ShardedStream`.  The shards are therefore disjoint, their union
 is exactly the unsharded sequence, and a restarted worker re-derives
 its slice from the spec alone (no arrival replay traffic).
@@ -22,12 +23,6 @@ Two assignment modes (``StreamSpec.assign``):
   to exactly one deterministic coordinator, each worker's ``cross``
   counter tallies the cross-shard traffic it owns, and the supervisor's
   merge reconstructs the cluster-wide cross-shard volume.
-
-Ownership is windowed: ``owned_from`` maps each owned residue class to
-the first stream *step* the worker owns it from.  A replacement worker
-spawned after a straggler is shed takes over the retired worker's class
-from the handoff window onward (``owned_from = {c: handoff_step}``),
-so every arrival is owned by exactly one worker across the whole run.
 
 Every worker still draws every arrival, which keeps the generators
 aligned, but reads each as a plain row and builds transactions only for
@@ -116,7 +111,8 @@ class StreamSpec:
 class ShardedStream:
     """A residue-class filter over a base :class:`ArrivalStream`.
 
-    Duck-types the stream surface the
+    Keeps the arrivals whose assignment class is ``shard`` (of
+    ``shards``), and duck-types the stream surface the
     :class:`~repro.service.SchedulingService` consumes (``network``,
     ``object_homes``, ``limit``, ``exhausted``, ``window``,
     ``released``); generation is delegated to the base stream so the
@@ -130,7 +126,7 @@ class ShardedStream:
         self,
         base: ArrivalStream,
         shards: int,
-        owned_from: Dict[int, int],
+        shard: int,
         assign: str = "tid",
     ) -> None:
         if shards < 1:
@@ -140,18 +136,11 @@ class ShardedStream:
                 f"unknown assignment mode {assign!r}; choose from "
                 f"{_ASSIGN_MODES}"
             )
-        for residue, step in owned_from.items():
-            if not 0 <= residue < shards:
-                raise ClusterError(
-                    f"owned residue {residue} outside 0..{shards - 1}"
-                )
-            if step < 0:
-                raise ClusterError(
-                    f"ownership start step must be >= 0, got {step}"
-                )
+        if not 0 <= shard < shards:
+            raise ClusterError(f"shard {shard} outside 0..{shards - 1}")
         self.base = base
         self.shards = int(shards)
-        self.owned_from = {int(c): int(s) for c, s in owned_from.items()}
+        self.shard = int(shard)
         self.assign = assign
         # shard assignment needs the network's shard partition up front;
         # raising TopologyError here fails the cluster before any fork
@@ -220,15 +209,14 @@ class ShardedStream:
 
         The base stream still draws every arrival (keeping the generator
         aligned across all workers), as rows; this shard builds
-        transactions only for the rows of the classes it owns at their
-        release step.  Under ``assign="shard"`` the owned cross-shard
-        arrivals are tallied in :attr:`cross_released`.
+        transactions only for the rows of its own class.  Under
+        ``assign="shard"`` the owned cross-shard arrivals are tallied in
+        :attr:`cross_released`.
         """
         kept: List[TimedTransaction] = []
         for release, tid, node, objects in self.base.rows(start, end):
             cls, cross = self._assign(tid, node, objects)
-            first = self.owned_from.get(cls)
-            if first is not None and release >= first:
+            if cls == self.shard:
                 kept.append(
                     TimedTransaction(release, Transaction(tid, node, objects))
                 )
@@ -247,7 +235,7 @@ class ShardedStream:
             "released": self._released,
             "cross": self._cross,
             "shards": self.shards,
-            "owned_from": {str(c): s for c, s in self.owned_from.items()},
+            "shard": self.shard,
             "assign": self.assign,
         }
 
@@ -257,10 +245,7 @@ class ShardedStream:
         self._released = int(state["released"])  # type: ignore[arg-type]
         self._cross = int(state["cross"])  # type: ignore[arg-type]
         self.shards = int(state["shards"])  # type: ignore[arg-type]
-        self.owned_from = {
-            int(c): int(s)
-            for c, s in state["owned_from"].items()  # type: ignore[union-attr]
-        }
+        self.shard = int(state["shard"])  # type: ignore[arg-type]
         assign = str(state["assign"])
         if assign != self.assign:
             raise ClusterError(
@@ -270,6 +255,6 @@ class ShardedStream:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardedStream(shards={self.shards}, assign={self.assign!r}, "
-            f"owned_from={self.owned_from}, released={self._released})"
+            f"ShardedStream(shards={self.shards}, shard={self.shard}, "
+            f"assign={self.assign!r}, released={self._released})"
         )

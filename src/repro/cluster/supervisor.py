@@ -7,19 +7,14 @@ pipes and process sentinels:
 * every ``cluster_window`` message is both a result and a heartbeat --
   it advances the worker's journaled-progress watermark and resets its
   liveness clock;
-* a dead process (sentinel fired, no ``cluster_done``) is a **crash**:
-  within the per-worker :class:`~repro.faults.backoff.RetryPolicy`
-  budget the worker is restarted -- after a deterministic backoff --
-  from its journal, with already-fired chaos events stripped so an
-  injected kill cannot re-fire after replay; past the budget it is
-  retired with its queued work counted ``lost`` (or, under
-  ``on_crash="strict"``, :class:`~repro.errors.WorkerCrashError`);
-* a silent-but-alive process past ``heartbeat_timeout_s`` is a
-  **straggler**: killed and restarted from its journal
-  (``on_straggler="restart"``), or shed -- its journaled backlog counted
-  ``shed`` and a replacement worker spawned owning its residue class
-  from the stall window onward (``"shed"``), or escalated
-  (``"strict"``, :class:`~repro.errors.HeartbeatTimeoutError`).
+* a dead process (sentinel fired, no ``cluster_done``) and a
+  silent-but-alive one past ``heartbeat_timeout_s`` (a **straggler**,
+  killed first) take one recovery path: within the per-worker
+  :class:`~repro.faults.backoff.RetryPolicy` budget the worker is
+  restarted -- after a deterministic backoff -- from its journal, with
+  already-fired chaos events stripped so an injected kill or stall
+  cannot re-fire after replay; past the budget it is retired with its
+  journaled backlog counted ``lost``.
 
 Recovery acts at window boundaries and replays a deterministic journal,
 so although *detection* is wall-clock, the recovered *outcome* is not:
@@ -40,7 +35,7 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..errors import ClusterError, HeartbeatTimeoutError, WorkerCrashError
+from ..errors import ClusterError
 from ..obs.recorder import Recorder, active
 from ..service import ServiceConfig
 from ..service.report import sojourn_summary
@@ -74,7 +69,7 @@ class _Worker:
         default_factory=lambda: dict(_EMPTY_ACCOUNTING)
     )
     replayed: int = 0
-    end: Optional[str] = None  # None while live; "done"|"retired"|"shed"
+    end: Optional[str] = None  # None while live; "done"|"retired"
     sojourns: Dict[int, int] = field(default_factory=dict)  # value -> count
     final: Optional[Dict[str, int]] = None
 
@@ -106,7 +101,6 @@ class _Supervisor:
         self.workers: List[_Worker] = []
         self.total_restarts = 0
         self.stragglers = 0
-        self._next_slot = config.workers  # ids for replacement workers
 
     # ------------------------------------------------------------------ #
     # spawning
@@ -116,14 +110,12 @@ class _Supervisor:
         return WorkerSpec(
             worker=worker,
             shards=self.config.workers,
-            owned_from={worker: 0},
             topology=self.topology,
             size=self.size,
             size2=self.size2,
             stream=self.stream,
             service=self.service,
             windows=self.config.windows,
-            start_window=0,
             journal_path=str(journal_dir / f"worker-{worker}.journal.jsonl"),
             checkpoint_path=str(journal_dir / f"worker-{worker}.ckpt.json"),
             checkpoint_every=self.config.checkpoint_every,
@@ -143,29 +135,6 @@ class _Supervisor:
         state.proc, state.conn = proc, recv
         state.last_heard = time.monotonic()
 
-    def _respawn(self, state: _Worker, crash_window: int) -> None:
-        """Restart a slot from its journal, stripping fired chaos.
-
-        ``crash_window`` is the window the dead incarnation was on;
-        events at or before it already fired (the kill that killed it
-        fired *at* it) and must not re-fire after replay reaches that
-        window again.
-        """
-        state.spec = replace(
-            state.spec,
-            chaos=tuple(
-                e for e in state.spec.chaos if e.window > crash_window
-            ),
-        )
-        wait = self.config.retry.wait(min(
-            state.restarts, self.config.retry.max_retries
-        ))
-        time.sleep(wait * self.config.restart_backoff_s)
-        state.restarts += 1
-        self.total_restarts += 1
-        self.rec.count("cluster.restarts")
-        self._spawn(state)
-
     # ------------------------------------------------------------------ #
     # failure handling
     # ------------------------------------------------------------------ #
@@ -178,76 +147,40 @@ class _Supervisor:
             state.proc.join(timeout=5.0)
             state.proc = None
 
-    def _on_crash(self, state: _Worker) -> None:
-        """A worker process died without sending ``cluster_done``."""
+    def _restart_or_retire(self, state: _Worker) -> None:
+        """Restart a dead or silent worker from its journal, or retire it.
+
+        A process still alive (a straggler) is killed first.  Within the
+        restart budget the slot restarts after a deterministic backoff,
+        stripped of the chaos events at or before the window it was on:
+        they already fired (the kill that killed it fired *at* that
+        window) and must not re-fire when replay reaches it again.  Past
+        the budget the slot is retired, its journaled backlog counted
+        ``lost``.
+        """
+        if state.proc is not None and state.proc.is_alive():
+            state.proc.kill()
         self._reap(state)
-        worker = state.spec.worker
-        if self.config.on_crash == "strict":
-            raise WorkerCrashError(
-                f"worker {worker} died at window {state.last_window + 1} "
-                f"(crash policy is strict)"
-            )
-        if state.restarts >= self.config.retry.max_retries:
-            # budget exhausted: retire the slot, queued work becomes loss
+        retry = self.config.retry
+        if state.restarts >= retry.max_retries:
             state.end = "retired"
             state.final = dict(state.cumulative)
             state.final["lost"] += state.final.pop("backlog")
             state.final["backlog"] = 0
             self.rec.count("cluster.retired")
             return
-        self._respawn(state, crash_window=state.last_window + 1)
-
-    def _on_straggler(self, state: _Worker) -> None:
-        """A live worker went silent past the heartbeat timeout."""
-        self.stragglers += 1
-        self.rec.count("cluster.stragglers")
-        worker = state.spec.worker
-        stall_window = state.last_window + 1
-        if self.config.on_straggler == "strict":
-            raise HeartbeatTimeoutError(
-                f"worker {worker} sent nothing for "
-                f"{self.config.heartbeat_timeout_s:.1f}s (stalled before "
-                f"window {stall_window}; straggler policy is strict)"
-            )
-        state.proc.kill()
-        self._reap(state)
-        if self.config.on_straggler == "restart":
-            self._respawn(state, crash_window=stall_window)
-            return
-        # shed: retire the stalled worker (its queued work is typed shed
-        # load) and hand its residue classes to a fresh replacement that
-        # owns them from the stall window onward.
-        state.end = "shed"
-        state.final = dict(state.cumulative)
-        state.final["shed"] += state.final.pop("backlog")
-        state.final["backlog"] = 0
-        handoff_step = stall_window * self.service.window
-        replacement = _Worker(spec=replace(
+        failed_window = state.last_window + 1
+        state.spec = replace(
             state.spec,
-            worker=self._next_slot,
-            owned_from={
-                c: max(s, handoff_step)
-                for c, s in state.spec.owned_from.items()
-            },
-            start_window=stall_window,
-            journal_path=str(
-                Path(state.spec.journal_path).with_name(
-                    f"worker-{self._next_slot}.journal.jsonl"
-                )
-            ),
-            checkpoint_path=str(
-                Path(state.spec.journal_path).with_name(
-                    f"worker-{self._next_slot}.ckpt.json"
-                )
-            ),
             chaos=tuple(
-                e for e in state.spec.chaos if e.window > stall_window
+                e for e in state.spec.chaos if e.window > failed_window
             ),
-        ))
-        replacement.last_window = stall_window - 1
-        self._next_slot += 1
-        self.workers.append(replacement)
-        self._spawn(replacement)
+        )
+        time.sleep(retry.wait(state.restarts) * self.config.restart_backoff_s)
+        state.restarts += 1
+        self.total_restarts += 1
+        self.rec.count("cluster.restarts")
+        self._spawn(state)
 
     # ------------------------------------------------------------------ #
     # message handling
@@ -318,13 +251,15 @@ class _Supervisor:
                         # drain and the exit; drain once more to be sure
                         self._drain(state)
                         if state.live:
-                            self._on_crash(state)
+                            self._restart_or_retire(state)
                         continue
                     if (
                         now - state.last_heard
                         > self.config.heartbeat_timeout_s
                     ):
-                        self._on_straggler(state)
+                        self.stragglers += 1
+                        self.rec.count("cluster.stragglers")
+                        self._restart_or_retire(state)
         finally:
             for state in self.workers:
                 if state.proc is not None and state.proc.is_alive():
@@ -348,8 +283,8 @@ class _Supervisor:
             sojourns.update(state.sojourns)
             per_worker.append({
                 "worker": state.spec.worker,
-                "classes": sorted(state.spec.owned_from),
-                "start_window": state.spec.start_window,
+                "classes": [state.spec.worker],
+                "start_window": 0,
                 "released": final["released"],
                 "committed": final["committed"],
                 "shed": final["shed"],
@@ -405,8 +340,13 @@ def run_cluster(
     optional ``chaos`` injection), and merges their accounting into one
     :class:`~repro.cluster.ClusterReport`.  The cluster-wide identity
     ``committed + shed + expired + lost + final_backlog == released``
-    holds on the returned report regardless of how many workers crashed,
-    stalled, or were shed along the way.
+    holds on the returned report however many workers crashed or
+    stalled along the way.
+
+    ``config.journal_dir`` must not hold another run's worker journals
+    or checkpoints: recovery would replay their history as this run's,
+    so such a directory raises :class:`~repro.errors.ClusterError`
+    before any worker is forked.
     """
     stream = stream if stream is not None else StreamSpec()
     service = service if service is not None else ServiceConfig()
@@ -420,6 +360,13 @@ def run_cluster(
         tempfile.mkdtemp(prefix="repro-cluster-")
         if owns_dir else config.journal_dir
     )
+    stale = sorted(journal_dir.glob("worker-*"))
+    if stale:
+        raise ClusterError(
+            f"journal directory {journal_dir} already holds "
+            f"{stale[0].name} from another run; give each run a fresh "
+            f"directory"
+        )
     journal_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     try:

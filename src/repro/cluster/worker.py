@@ -47,24 +47,19 @@ KILL_EXIT_STATUS = 17
 class WorkerSpec:
     """Everything one worker incarnation needs to rebuild its world.
 
-    ``owned_from`` maps each owned residue class to the first stream
-    step it is owned from (0 for original workers, the handoff step for
-    replacements).  ``start_window`` is the first window this
-    incarnation's *lineage* executes (0 unless it replaces a shed
-    worker).  ``chaos`` holds only this worker's events, already
+    Worker ``worker`` owns residue class ``worker`` of ``shards`` from
+    window 0.  ``chaos`` holds only this worker's events, already
     stripped of anything that fired in a previous incarnation.
     """
 
     worker: int
     shards: int
-    owned_from: Dict[int, int]
     topology: str
     size: int
     size2: Optional[int]
     stream: StreamSpec
     service: ServiceConfig
     windows: int
-    start_window: int
     journal_path: str
     checkpoint_path: str
     checkpoint_every: int
@@ -75,8 +70,7 @@ class WorkerSpec:
         net = network_from_sizes(self.topology, self.size, self.size2)
         base = self.stream.build(net)
         sharded = ShardedStream(
-            base, self.shards, dict(self.owned_from),
-            assign=self.stream.assign,
+            base, self.shards, self.worker, assign=self.stream.assign
         )
         return SchedulingService(sharded, self.service)
 
@@ -106,11 +100,9 @@ def _recover(
     :class:`~repro.errors.ClusterError` rather than silently forking
     history.
     """
-    ckpt, tail = journal.load(floor=spec.start_window)
+    ckpt, tail = journal.load()
     if ckpt is not None:
         service.restore_state(ckpt["state"])
-    elif spec.start_window > 0:
-        _fast_forward(service, spec)
     for rec in tail:
         window = int(rec["window"])
         if window != service.windows_run:
@@ -129,18 +121,6 @@ def _recover(
     return len(tail)
 
 
-def _fast_forward(service: SchedulingService, spec: WorkerSpec) -> None:
-    """Advance a fresh replacement worker to its handoff window.
-
-    Draws (and discards) the stream prefix before ``start_window`` --
-    nothing there is owned, since ``owned_from`` starts at the handoff
-    step -- keeping the generator aligned with every other worker, then
-    repositions the service clock.
-    """
-    service.stream.window(0, spec.start_window * spec.service.window)
-    service.skip_to_window(spec.start_window)
-
-
 def worker_main(conn: Any, spec: WorkerSpec) -> None:
     """Entry point of one worker process (also callable in-process).
 
@@ -156,8 +136,6 @@ def worker_main(conn: Any, spec: WorkerSpec) -> None:
         replayed = 0
         if journal.has_history():
             replayed = _recover(service, journal, spec)
-        elif spec.start_window > 0:
-            _fast_forward(service, spec)
         conn.send(encode_message(MSG_HELLO, {
             "worker": spec.worker,
             "pid": os.getpid(),

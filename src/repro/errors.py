@@ -24,8 +24,6 @@ __all__ = [
     "CertificationError",
     "InvariantViolationError",
     "ClusterError",
-    "WorkerCrashError",
-    "HeartbeatTimeoutError",
 ]
 
 
@@ -164,39 +162,17 @@ class CertificationError(StaticCheckError):
 
 
 class ClusterError(ReproError):
-    """Base class for multi-process cluster failures (:mod:`repro.cluster`).
+    """Multi-process cluster failures (:mod:`repro.cluster`).
 
-    Raised for malformed cluster/chaos configuration, wire-protocol
+    Raised for malformed cluster/chaos configuration, a journal
+    directory that already holds another run's journals, wire-protocol
     violations on the supervisor/worker pipes, journal corruption, and
     replay-divergence (a restarted worker whose re-executed windows do
     not reproduce the journaled digests -- a determinism bug, never
-    silently absorbed).  Operational failures the supervisor is
-    configured to *survive* (worker crashes, stalls) do not raise; they
-    are recovered and accounted in the
-    :class:`~repro.cluster.report.ClusterReport`.
-    """
-
-
-class WorkerCrashError(ClusterError):
-    """A cluster worker process died and the supervisor gave up on it.
-
-    Raised only when the supervisor runs with ``on_crash="strict"`` or
-    when a worker exhausts its bounded restart budget
-    (:class:`~repro.faults.backoff.RetryPolicy`) and the configuration
-    forbids retiring it.  Under the default policy a crashed worker is
-    restarted from its journal; past the budget it is retired with its
-    queued work counted ``lost`` (typed, never silent).
-    """
-
-
-class HeartbeatTimeoutError(ClusterError):
-    """A cluster worker missed its heartbeat deadline.
-
-    Raised only when the supervisor runs with ``on_straggler="strict"``.
-    Under the graceful policies a stalled worker is killed and either
-    restarted from its journal (``"restart"``) or retired with its load
-    re-sharded to a replacement worker (``"shed"``); either way the
-    stall is recorded in the cluster report.
+    silently absorbed).  A worker that dies or goes silent never
+    raises: it is restarted from its journal within its budget, or
+    retired with its queued work counted ``lost``, and either way
+    accounted in the :class:`~repro.cluster.report.ClusterReport`.
     """
 
 

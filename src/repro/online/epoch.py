@@ -1,12 +1,16 @@
 """Epoch batching: the paper's offline schedulers applied online.
 
 A natural way to carry the paper's results into the online setting is to
-chop time into epochs, batch the transactions released during an epoch,
-and run the topology-appropriate *offline* scheduler on each batch (with
-objects starting wherever the previous epoch left them).  Feasibility
-composes exactly as in :mod:`repro.core.phasing`; what the online
-experiments measure is how the batched offline guarantees trade response
-time against the purely reactive priority manager.
+batch the transactions released while the previous batch runs, and run
+the topology-appropriate *offline* scheduler on each batch (with objects
+starting wherever the previous batch left them).  Only the first batch
+waits for the ``epoch`` step; every later batch starts right after its
+predecessor's schedule ends (or at the next release, if none is
+pending), so the batches follow the schedules' makespans, not a fixed
+epoch grid.  Feasibility composes exactly as in
+:mod:`repro.core.phasing`; what the online experiments measure is how
+the batched offline guarantees trade response time against the purely
+reactive priority manager.
 """
 
 from __future__ import annotations
@@ -31,16 +35,18 @@ def run_epoch_batched(
     epoch: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> OnlineResult:
-    """Schedule ``workload`` in epochs with an offline scheduler per batch.
+    """Schedule ``workload`` in batches with an offline scheduler each.
 
     ``scheduler`` defaults to the topology dispatch of the underlying
-    network; ``epoch`` defaults to the network diameter + 1 (one "round
-    trip" of slack per batch).  Each batch contains the transactions
-    released up to the moment the previous batch finished (or the end of
-    the current epoch window, whichever is later), so the schedule never
-    commits anything before its release.  Every transaction commits, so
-    the result's degradation report is all zeros apart from
-    ``released == committed == m``.
+    network; ``epoch`` defaults to the network diameter + 1.  Each batch
+    starts at the boundary ``max(t + 1, r, epoch)`` and contains every
+    transaction released by then, where ``t`` is the step the previous
+    batch's schedule ends at (0 before the first batch) and ``r`` the
+    next pending release; so the schedule never commits anything before
+    its release.  ``epoch`` is an absolute step, not a period:
+    it delays only the first batch, since every later ``t + 1`` already
+    exceeds it.  Every transaction commits, so the result's degradation
+    report is all zeros apart from ``released == committed == m``.
     """
     inst = workload.instance
     if scheduler is None:
@@ -51,8 +57,8 @@ def run_epoch_batched(
     state = PhaseState(inst)
     remaining = list(workload.arrivals)
     while remaining:
-        # the next batch boundary: at least one epoch past the current
-        # time, and late enough to include the next arrival
+        # the next batch boundary: past the previous batch, late enough
+        # to include the next arrival, and (first batch only) at epoch
         boundary = max(state.time + 1, remaining[0].release, epoch)
         batch = [a for a in remaining if a.release <= boundary]
         remaining = remaining[len(batch):]

@@ -738,28 +738,6 @@ class SchedulingService:
         self._busy = int(state["busy"])  # type: ignore[arg-type]
         self.detector.load_state(state["detector"])  # type: ignore[arg-type]
 
-    def skip_to_window(self, window_index: int) -> None:
-        """Start a fresh service at ``window_index`` instead of 0.
-
-        Used by cluster replacement workers taking over a retired
-        worker's shard mid-run: the underlying stream must already have
-        been advanced to step ``window_index * window`` (drawing -- and
-        discarding -- the unowned prefix keeps the generator aligned).
-        Raises :class:`~repro.errors.ServiceError` on a service that has
-        already run or admitted anything.
-        """
-        if self._windows_run or self._released or self.queue_length:
-            raise ServiceError(
-                "skip_to_window() needs a fresh service; this one has "
-                f"already run {self._windows_run} windows"
-            )
-        if window_index < 0:
-            raise ServiceError(
-                f"window_index must be >= 0, got {window_index}"
-            )
-        self._windows_run = window_index
-        self._busy_until = window_index * self.config.window
-
     def report(self) -> ServiceReport:
         """The run's :class:`ServiceReport` (valid at any window boundary)."""
         elapsed = max(self._busy_until, self._windows_run * self.config.window)

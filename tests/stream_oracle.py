@@ -146,15 +146,14 @@ class OracleShardedStream(ShardedStream):
         coordinator = min(shards) if shards else self._shard_of[txn.node]
         return coordinator % self.shards
 
-    def owns(self, txn: Transaction, release: int) -> bool:
-        start = self.owned_from.get(self.class_of(txn))
-        return start is not None and release >= start
+    def owns(self, txn: Transaction) -> bool:
+        return self.class_of(txn) == self.shard
 
     def window(self, start: int, end: int) -> List[TimedTransaction]:
         kept = [
             tt
             for tt in self.base.window(start, end)
-            if self.owns(tt.txn, tt.release)
+            if self.owns(tt.txn)
         ]
         self._released += len(kept)
         if self._shard_of is not None:

@@ -14,6 +14,8 @@ The headline properties under test:
 from __future__ import annotations
 
 import json
+import re
+import time
 
 import pytest
 
@@ -37,14 +39,9 @@ from repro.cluster.wire import (
     decode_message,
     encode_message,
 )
+import repro.cluster.supervisor as supervisor_mod
 from repro.cluster.worker import WorkerSpec, worker_main
-from repro.errors import (
-    ClusterError,
-    HeartbeatTimeoutError,
-    ReproError,
-    ServiceError,
-    WorkerCrashError,
-)
+from repro.errors import ClusterError, ReproError, ServiceError
 from repro.faults.backoff import RetryPolicy
 from repro.errors import TopologyError
 from repro.io import dumps_canonical, dumps_line, json_payload
@@ -155,7 +152,7 @@ class TestShardedStream:
         base_all = STREAM.build(net).window(0, horizon)
         shard_tids = []
         for i in range(3):
-            shard = ShardedStream(STREAM.build(net), 3, {i: 0})
+            shard = ShardedStream(STREAM.build(net), 3, i)
             got = shard.window(0, horizon)
             assert all(t.txn.tid % 3 == i for t in got)
             assert shard.released == len(got)
@@ -163,18 +160,11 @@ class TestShardedStream:
         union = sorted(t for tids in shard_tids for t in tids)
         assert union == [t.txn.tid for t in base_all]
 
-    def test_ownership_start_step_excludes_earlier_releases(self):
-        net = grid(3)
-        full = ShardedStream(STREAM.build(net), 2, {0: 0}).window(0, 80)
-        late = ShardedStream(STREAM.build(net), 2, {0: 40}).window(0, 80)
-        late_tids = {t.txn.tid for t in late}
-        assert late_tids == {t.txn.tid for t in full if t.release >= 40}
-
     def test_state_round_trip(self):
         net = grid(3)
-        a = ShardedStream(STREAM.build(net), 2, {1: 0})
+        a = ShardedStream(STREAM.build(net), 2, 1)
         a.window(0, 40)
-        b = ShardedStream(STREAM.build(net), 2, {1: 0})
+        b = ShardedStream(STREAM.build(net), 2, 1)
         b.load_state(a.state_dict())
         assert [t.txn.tid for t in a.window(40, 80)] == [
             t.txn.tid for t in b.window(40, 80)
@@ -183,9 +173,9 @@ class TestShardedStream:
     def test_bad_shard_config_rejected(self):
         net = grid(3)
         with pytest.raises(ClusterError):
-            ShardedStream(STREAM.build(net), 0, {})
-        with pytest.raises(ClusterError):
-            ShardedStream(STREAM.build(net), 2, {5: 0})
+            ShardedStream(STREAM.build(net), 0, 0)
+        with pytest.raises(ClusterError, match="shard 5 outside"):
+            ShardedStream(STREAM.build(net), 2, 5)
 
     def test_unknown_stream_kind_rejected(self):
         with pytest.raises(ClusterError, match="unknown stream kind"):
@@ -196,7 +186,7 @@ class TestShardedStream:
             StreamSpec(assign="alphabetical")
         net = grid(3)
         with pytest.raises(ClusterError, match="unknown assignment mode"):
-            ShardedStream(STREAM.build(net), 2, {0: 0}, assign="alphabetical")
+            ShardedStream(STREAM.build(net), 2, 0, assign="alphabetical")
 
 
 class TestShardAssignment:
@@ -214,7 +204,7 @@ class TestShardAssignment:
         owned = []
         for i in range(2):
             s = ShardedStream(
-                SHARD_STREAM.build(net), 2, {i: 0}, assign="shard"
+                SHARD_STREAM.build(net), 2, i, assign="shard"
             )
             got = s.window(0, horizon)
             for tt in got:
@@ -229,7 +219,7 @@ class TestShardAssignment:
         shard_of = node_shards(net)
         homes = SHARD_STREAM.build(net).object_homes
         s = ShardedStream(
-            SHARD_STREAM.build(net), 1, {0: 0}, assign="shard"
+            SHARD_STREAM.build(net), 1, 0, assign="shard"
         )
         got = s.window(0, 80)
         expected = sum(
@@ -241,16 +231,16 @@ class TestShardAssignment:
 
     def test_tid_mode_never_counts_cross(self):
         s = ShardedStream(
-            SHARD_STREAM.build(self._net()), 2, {0: 0}, assign="tid"
+            SHARD_STREAM.build(self._net()), 2, 0, assign="tid"
         )
         s.window(0, 80)
         assert s.cross_released == 0
 
     def test_state_round_trip_preserves_cross_counter(self):
         net = self._net()
-        a = ShardedStream(SHARD_STREAM.build(net), 2, {1: 0}, assign="shard")
+        a = ShardedStream(SHARD_STREAM.build(net), 2, 1, assign="shard")
         a.window(0, 40)
-        b = ShardedStream(SHARD_STREAM.build(net), 2, {1: 0}, assign="shard")
+        b = ShardedStream(SHARD_STREAM.build(net), 2, 1, assign="shard")
         b.load_state(a.state_dict())
         assert b.cross_released == a.cross_released
         assert [t.txn.tid for t in a.window(40, 80)] == [
@@ -260,16 +250,16 @@ class TestShardAssignment:
 
     def test_assign_mismatch_rejected_on_restore(self):
         net = self._net()
-        a = ShardedStream(SHARD_STREAM.build(net), 2, {0: 0}, assign="shard")
+        a = ShardedStream(SHARD_STREAM.build(net), 2, 0, assign="shard")
         a.window(0, 8)
-        b = ShardedStream(SHARD_STREAM.build(net), 2, {0: 0}, assign="tid")
+        b = ShardedStream(SHARD_STREAM.build(net), 2, 0, assign="tid")
         with pytest.raises(ClusterError, match="assignment mode"):
             b.load_state(a.state_dict())
 
     def test_shard_mode_requires_sharded_topology(self):
         with pytest.raises(TopologyError):
             ShardedStream(
-                STREAM.build(grid(3)), 2, {0: 0}, assign="shard"
+                STREAM.build(grid(3)), 2, 0, assign="shard"
             )
 
 
@@ -277,7 +267,7 @@ class TestServiceSnapshot:
     def _service(self):
         net = grid(3)
         return SchedulingService(
-            ShardedStream(STREAM.build(net), 2, {0: 0}), SVC
+            ShardedStream(STREAM.build(net), 2, 0), SVC
         )
 
     def test_snapshot_restore_continues_identically(self):
@@ -299,12 +289,6 @@ class TestServiceSnapshot:
         snap = a.snapshot_state()
         with pytest.raises(ServiceError, match="fresh service"):
             a.restore_state(snap)
-
-    def test_skip_to_window_requires_pristine_service(self):
-        a = self._service()
-        a.run_window(0)
-        with pytest.raises(ServiceError, match="fresh service"):
-            a.skip_to_window(4)
 
     def test_snapshot_is_json_safe(self):
         a = self._service()
@@ -359,13 +343,6 @@ class TestJournal:
         with pytest.raises(ClusterError, match="gap"):
             j.load()
 
-    def test_replacement_floor_accepted(self, tmp_path):
-        j = WindowJournal(tmp_path / "w.jsonl", tmp_path / "w.ckpt")
-        j.append(5, "d5", {"released": 1})
-        j.append(6, "d6", {"released": 2})
-        _, tail = j.load(floor=5)
-        assert [r["window"] for r in tail] == [5, 6]
-
     def test_digest_is_order_insensitive(self):
         a = accounting_digest({"released": 3, "committed": 2})
         b = accounting_digest({"committed": 2, "released": 3})
@@ -385,9 +362,9 @@ class TestJournal:
         # a journal left with one must still recover the same worker
         def spec(directory, windows):
             return WorkerSpec(
-                worker=0, shards=1, owned_from={0: 0}, topology="grid",
+                worker=0, shards=1, topology="grid",
                 size=3, size2=None, stream=STREAM, service=SVC,
-                windows=windows, start_window=0,
+                windows=windows,
                 journal_path=str(directory / "w.journal.jsonl"),
                 checkpoint_path=str(directory / "w.ckpt.json"),
                 checkpoint_every=4,
@@ -418,9 +395,9 @@ def _run_worker(directory, windows, checkpoint_every):
     directory.mkdir(exist_ok=True)
     conn = _Conn()
     worker_main(conn, WorkerSpec(
-        worker=0, shards=1, owned_from={0: 0}, topology="grid",
+        worker=0, shards=1, topology="grid",
         size=3, size2=None, stream=STREAM, service=SVC,
-        windows=windows, start_window=0,
+        windows=windows,
         journal_path=str(directory / "w.journal.jsonl"),
         checkpoint_path=str(directory / "w.ckpt.json"),
         checkpoint_every=checkpoint_every,
@@ -496,8 +473,8 @@ class TestClusterConfig:
             {"windows": 0},
             {"heartbeat_timeout_s": 0},
             {"checkpoint_every": 0},
-            {"on_crash": "panic"},
-            {"on_straggler": "ignore"},
+            {"poll_interval_s": 0},
+            {"restart_backoff_s": -1},
         ],
     )
     def test_invalid_config_rejected(self, kw):
@@ -529,7 +506,7 @@ class TestClusterRuns:
         rep = run_cluster("grid", 3, None, spec, SVC,
                           quick_config(workers=1, windows=10))
         own = SchedulingService(
-            ShardedStream(spec.build(grid(3)), 1, {0: 0}), SVC
+            ShardedStream(spec.build(grid(3)), 1, 0), SVC
         ).run(10)
         fields = ("sojourn_p50", "sojourn_p99", "sojourn_mean",
                   "sojourn_max")
@@ -602,18 +579,8 @@ class TestClusterRuns:
         survivors = [w for w in rep.per_worker if w["end"] == "done"]
         assert survivors and all(w["released"] > 0 for w in survivors)
 
-    def test_strict_crash_policy_raises(self):
-        with pytest.raises(WorkerCrashError, match="worker 0"):
-            run_cluster(
-                "grid", 3, None, STREAM, SVC,
-                quick_config(on_crash="strict"),
-                chaos=ChaosPlan([WorkerKill(0, 2)]),
-            )
-
     def test_stall_restart_matches_fault_free_run(self):
-        cfg = quick_config(
-            heartbeat_timeout_s=0.3, on_straggler="restart"
-        )
+        cfg = quick_config(heartbeat_timeout_s=0.3)
         base = run_cluster("grid", 3, None, STREAM, SVC, quick_config())
         rep = run_cluster(
             "grid", 3, None, STREAM, SVC, cfg,
@@ -622,29 +589,68 @@ class TestClusterRuns:
         assert rep.stragglers == 1 and rep.restarts == 1
         assert rep.parity_key() == base.parity_key()
 
-    def test_stall_shed_hands_off_to_replacement(self):
-        cfg = quick_config(heartbeat_timeout_s=0.3, on_straggler="shed")
+    def test_stall_after_a_kill_retires_past_the_budget(self):
+        # a silent worker spends the same restart budget as a dead one
+        cfg = quick_config(
+            heartbeat_timeout_s=0.3,
+            retry=RetryPolicy(max_retries=1, max_wait=2),
+        )
         rep = run_cluster(
             "grid", 3, None, STREAM, SVC, cfg,
-            chaos=ChaosPlan([WorkerStall(0, 4, seconds=30.0)]),
+            chaos=ChaosPlan([
+                WorkerKill(0, 2), WorkerStall(0, 5, seconds=30.0),
+            ]),
         )
         assert rep.accounted
-        shed = [w for w in rep.per_worker if w["end"] == "shed"]
-        assert len(shed) == 1
-        replacement = [w for w in rep.per_worker if w["start_window"] > 0]
-        assert len(replacement) == 1
-        assert replacement[0]["classes"] == shed[0]["classes"]
-        # the full residue class is covered: shed prefix + replacement
-        base = run_cluster("grid", 3, None, STREAM, SVC, quick_config())
-        assert rep.released == base.released
+        assert (rep.restarts, rep.stragglers) == (1, 1)
+        worker = rep.per_worker[0]
+        assert (worker["end"], worker["restarts"]) == ("retired", 1)
+        assert worker["final_backlog"] == 0  # moved into lost
+        assert rep.per_worker[1]["end"] == "done"
 
-    def test_strict_straggler_policy_raises(self):
-        with pytest.raises(HeartbeatTimeoutError, match="worker 0"):
+    def test_hung_worker_retires_past_the_budget(self, monkeypatch):
+        # every incarnation hangs before its hello; the spy fails the
+        # run instead of letting the supervisor respawn it forever
+        retry = RetryPolicy(max_retries=1, max_wait=2)
+        spawn = supervisor_mod._Supervisor._spawn
+        procs = []
+
+        def spy(sup, state):
+            if len(procs) >= retry.max_retries + 2:
+                raise AssertionError(f"{len(procs)} spawns, budget {retry}")
+            spawn(sup, state)
+            procs.append(state.proc)
+
+        monkeypatch.setattr(
+            supervisor_mod, "worker_main", lambda conn, spec: time.sleep(60)
+        )
+        monkeypatch.setattr(supervisor_mod._Supervisor, "_spawn", spy)
+        rep = run_cluster(
+            "grid", 3, None, STREAM, SVC,
+            quick_config(workers=1, heartbeat_timeout_s=0.3, retry=retry),
+        )
+        assert [w["end"] for w in rep.per_worker] == ["retired"]
+        assert (rep.restarts, rep.stragglers) == (1, 2)
+        assert len(procs) == retry.max_retries + 1
+        assert not any(proc.is_alive() for proc in procs)
+
+    def test_reused_journal_dir_rejected(self, tmp_path):
+        # recovery would replay the first run's journals as the second's
+        first = run_cluster(
+            "grid", 3, None, STREAM, SVC,
+            quick_config(journal_dir=str(tmp_path)),
+        )
+        other = StreamSpec(kind="poisson", w=16, k=2, rate=0.6, seed=8)
+        with pytest.raises(ClusterError, match=re.escape(str(tmp_path))):
             run_cluster(
-                "grid", 3, None, STREAM, SVC,
-                quick_config(heartbeat_timeout_s=0.3, on_straggler="strict"),
-                chaos=ChaosPlan([WorkerStall(0, 3, seconds=30.0)]),
+                "grid", 3, None, other, SVC,
+                quick_config(journal_dir=str(tmp_path)),
             )
+        fresh = run_cluster(
+            "grid", 3, None, STREAM, SVC,
+            quick_config(journal_dir=str(tmp_path / "fresh")),
+        )
+        assert fresh.parity_key() == first.parity_key()
 
     def test_delay_below_timeout_triggers_nothing(self):
         cfg = quick_config(heartbeat_timeout_s=2.0)

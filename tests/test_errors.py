@@ -6,7 +6,6 @@ from repro.errors import (
     ClusterError,
     FaultError,
     GraphError,
-    HeartbeatTimeoutError,
     InfeasibleScheduleError,
     InstanceError,
     RecoveryError,
@@ -14,7 +13,6 @@ from repro.errors import (
     SchedulingError,
     ServiceError,
     TopologyError,
-    WorkerCrashError,
 )
 
 
@@ -31,8 +29,6 @@ class TestHierarchy:
             RecoveryError,
             ServiceError,
             ClusterError,
-            WorkerCrashError,
-            HeartbeatTimeoutError,
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
@@ -53,15 +49,6 @@ class TestHierarchy:
         stream = PoissonStream(grid(3), w=4, k=2, rate=0.5, rng=root_rng(1))
         with pytest.raises(ServiceError):
             SchedulingService(stream).run()  # unbounded, no window count
-
-    def test_cluster_errors_form_a_sub_hierarchy(self):
-        # one except ClusterError clause catches every cluster failure
-        assert issubclass(WorkerCrashError, ClusterError)
-        assert issubclass(HeartbeatTimeoutError, ClusterError)
-        with pytest.raises(ClusterError):
-            raise WorkerCrashError("worker 3 died")
-        with pytest.raises(ClusterError):
-            raise HeartbeatTimeoutError("worker 3 went silent")
 
     def test_recovery_error_is_a_fault_error(self):
         # callers handling fault-layer failures with one except clause

@@ -168,15 +168,11 @@ class TestShardParity:
         spec = StreamSpec(kind=kind, w=24, k=3, rate=0.8, seed=5,
                           assign=assign)
         base = _rows(stream_oracle.build(spec, net).window(0, 90))
-        # worker 1 hands class 1 to a replacement from step 40 on
-        ownerships = [{0: 0}, {1: 0}, {1: 40}, {0: 0, 1: 40}]
         owned = []
-        for owned_from in ownerships:
-            ours = ShardedStream(spec.build(net), 2, dict(owned_from),
-                                 assign=assign)
+        for shard in (0, 1):
+            ours = ShardedStream(spec.build(net), 2, shard, assign=assign)
             theirs = stream_oracle.OracleShardedStream(
-                stream_oracle.build(spec, net), 2, dict(owned_from),
-                assign=assign)
+                stream_oracle.build(spec, net), 2, shard, assign=assign)
             got = []
             for start, end in [(0, 7), (7, 40), (40, 41), (41, 90)]:
                 rows = _rows(ours.window(start, end))
@@ -186,9 +182,7 @@ class TestShardParity:
             assert ours.cross_released == theirs.cross_released
             assert ours.state_dict() == theirs.state_dict()
             owned.append(got)
-        first, second, second_late, mixed = owned
-        assert second_late == [r for r in second if r[0] >= 40]
-        assert mixed == sorted(first + second_late, key=lambda r: r[1])
+        first, second = owned
         assert not {r[1] for r in first} & {r[1] for r in second}
         assert sorted(first + second, key=lambda r: r[1]) == base
         if assign == "shard" and kind != "adversarial":
