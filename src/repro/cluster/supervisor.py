@@ -14,7 +14,10 @@ pipes and process sentinels:
   restarted -- after a deterministic backoff -- from its journal, with
   already-fired chaos events stripped so an injected kill or stall
   cannot re-fire after replay; past the budget it is retired with its
-  journaled backlog counted ``lost``.
+  journaled backlog counted ``lost``, and so are the arrivals of its
+  residue class in the windows it never ran, which the supervisor
+  redraws from the stream spec so that ``released`` matches the
+  fault-free run's.
 
 Recovery acts at window boundaries and replays a deterministic journal,
 so although *detection* is wall-clock, the recovered *outcome* is not:
@@ -33,16 +36,17 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ClusterError
+from ..network.registry import network_from_sizes
 from ..obs.recorder import Recorder, active
 from ..service import ServiceConfig
 from ..service.report import sojourn_summary
 from .chaos import ChaosPlan
 from .config import ClusterConfig
 from .report import ClusterReport
-from .shard import StreamSpec
+from .shard import ShardedStream, StreamSpec
 from .wire import MSG_DONE, MSG_ERROR, MSG_HELLO, MSG_WINDOW, decode_message
 from .worker import WorkerSpec, worker_main
 
@@ -147,6 +151,27 @@ class _Supervisor:
             state.proc.join(timeout=5.0)
             state.proc = None
 
+    def _unrun_arrivals(self, state: _Worker) -> Tuple[int, int]:
+        """Owned and owned cross-shard arrivals after ``last_window``.
+
+        The supervisor redraws the worker's shard of the stream from the
+        spec, as every incarnation does.  The draw is sequential, so it
+        reads every window from 0; it needs no distances.
+        """
+        net = network_from_sizes(self.topology, self.size, self.size2)
+        stream = ShardedStream(
+            self.stream.build(net), self.config.workers, state.spec.worker,
+            assign=self.stream.assign,
+        )
+        w = self.service.window
+        ran = state.last_window + 1
+        for window in range(ran):
+            stream.window(window * w, (window + 1) * w)
+        released, cross = stream.released, stream.cross_released
+        for window in range(ran, self.config.windows):
+            stream.window(window * w, (window + 1) * w)
+        return stream.released - released, stream.cross_released - cross
+
     def _restart_or_retire(self, state: _Worker) -> None:
         """Restart a dead or silent worker from its journal, or retire it.
 
@@ -155,17 +180,21 @@ class _Supervisor:
         stripped of the chaos events at or before the window it was on:
         they already fired (the kill that killed it fired *at* that
         window) and must not re-fire when replay reaches it again.  Past
-        the budget the slot is retired, its journaled backlog counted
-        ``lost``.
+        the budget the slot is retired: its journaled backlog and its
+        class's arrivals in the windows it never ran are counted
+        released (the latter) and ``lost``.
         """
         if state.proc is not None and state.proc.is_alive():
             state.proc.kill()
         self._reap(state)
         retry = self.config.retry
         if state.restarts >= retry.max_retries:
+            unrun, cross = self._unrun_arrivals(state)
             state.end = "retired"
             state.final = dict(state.cumulative)
-            state.final["lost"] += state.final.pop("backlog")
+            state.final["released"] += unrun
+            state.final["cross"] += cross
+            state.final["lost"] += state.final.pop("backlog") + unrun
             state.final["backlog"] = 0
             self.rec.count("cluster.retired")
             return

@@ -6,10 +6,14 @@ weights are communication delays (an object crossing an edge of weight ``w``
 needs ``w`` time steps).  :class:`Network` wraps that model with:
 
 * O(1) shortest-path distance lookups backed by a cached all-pairs matrix
-  computed once with :func:`scipy.sparse.csgraph.dijkstra` on a CSR adjacency
-  (per the HPC guides: build the heavy structure once, then do array reads in
-  hot loops instead of repeated graph traversals);
-* shortest-path reconstruction for object routing in the simulator;
+  built once on first use (build the heavy structure once, then do array
+  reads in hot loops instead of repeated graph traversals).  A network its
+  builder vouches is a Cartesian product of small axes (the line, grid,
+  d-dimensional grid, torus, hypercube and clique builders) sums its
+  per-axis distance matrices by broadcasting; every other network runs
+  :func:`scipy.sparse.csgraph.dijkstra` on its CSR adjacency;
+* shortest-path reconstruction for object routing in the simulator, from
+  Dijkstra's predecessor matrix;
 * a :class:`Topology` metadata tag so topology-specific schedulers
   (grid/cluster/star/...) can recover structural parameters without
   re-detecting them.
@@ -67,6 +71,12 @@ class Network:
     connectivity; all-pairs shortest-path distances (and, lazily,
     predecessors for path reconstruction) are computed on first use and
     cached for the lifetime of the object.
+
+    A builder that made a Cartesian product's edges hands the network
+    one ``(d_i, d_i)`` distance matrix per axis (``_axes``), the node ids
+    being mixed radix over the axes with the last axis fastest; the
+    distance matrix is then their broadcast sum.  Nothing else selects
+    that formula, not even the topology tag.
 
     Parameters
     ----------
@@ -127,6 +137,7 @@ class Network:
                     f"network must be connected; found {ncomp} components"
                 )
 
+        self._axes: tuple[np.ndarray, ...] | None = None
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
 
@@ -179,8 +190,23 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def _ensure_dist(self) -> np.ndarray:
+        """The all-pairs matrix: a per-axis sum on a product, else Dijkstra.
+
+        On a Cartesian product the distance between two nodes is the sum
+        of their per-axis distances.  Each axis in turn becomes the
+        fastest digit of the ids: the ``(m, m)`` matrix of the axes so
+        far and the ``(d, d)`` axis broadcast to ``(m, d, m, d)``, whose
+        sum reshapes to the ``(m * d, m * d)`` matrix.
+        """
         if self._dist is None:
-            if self._n == 1:
+            if self._axes is not None:
+                dist = np.zeros((1, 1), dtype=np.int64)
+                for axis in self._axes:
+                    m, d = len(dist), len(axis)
+                    dist = dist[:, None, :, None] + axis[None, :, None, :]
+                    dist = dist.reshape(m * d, m * d)
+                self._dist = dist
+            elif self._n == 1:
                 self._dist = np.zeros((1, 1), dtype=np.int64)
             else:
                 d = dijkstra(self._csr, directed=False)
@@ -195,7 +221,8 @@ class Network:
                 d, pred = dijkstra(
                     self._csr, directed=False, return_predecessors=True
                 )
-                self._dist = d.astype(np.int64)
+                if self._dist is None:
+                    self._dist = d.astype(np.int64)
                 self._pred = pred
         return self._pred
 

@@ -18,12 +18,20 @@ Families (paper section in parentheses):
 * :func:`ddim_grid` -- general d-dimensional mesh (§3.1)
 * :func:`lower_bound_grid` / :func:`lower_bound_tree` -- the §8 hard-instance
   substrates (``s`` blocks of ``s x sqrt(s)`` nodes, inter-block weight ``s``)
+
+The clique, line, grid, torus, hypercube and d-dimensional grid are
+Cartesian products of one clique, paths or cycles.  Their builders hand
+the network one small distance matrix per axis, so its all-pairs
+distances are a broadcast sum instead of a Dijkstra solve; every other
+family is solved by Dijkstra.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import GraphError
 from .graph import Network, Topology
@@ -45,12 +53,40 @@ __all__ = [
 ]
 
 
+def _path(length: int) -> np.ndarray:
+    """Distances along a unit-weight path: ``|i - j|``."""
+    i = np.arange(length, dtype=np.int64)
+    return np.abs(i[:, None] - i[None, :])
+
+
+def _cycle(length: int) -> np.ndarray:
+    """Distances around a unit-weight cycle: ``min(|i - j|, L - |i - j|)``."""
+    d = _path(length)
+    return np.minimum(d, length - d)
+
+
+def _product(
+    n: int, edges: list[tuple[int, int, int]], topo: Topology,
+    *axes: np.ndarray,
+) -> Network:
+    """A network whose edges are the Cartesian product of ``axes``.
+
+    Only a builder that made the edges can vouch for them, so only the
+    builders below call this; node ids must be mixed radix over the
+    axes, last axis fastest.
+    """
+    net = Network(n, edges, topo)
+    net._axes = axes
+    return net
+
+
 def clique(n: int) -> Network:
     """Complete graph on ``n`` nodes with unit edge weights (§3)."""
     if n < 1:
         raise GraphError(f"clique needs n >= 1, got {n}")
     edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)]
-    return Network(n, edges, Topology("clique", {"n": n}))
+    axis = 1 - np.eye(n, dtype=np.int64)
+    return _product(n, edges, Topology("clique", {"n": n}), axis)
 
 
 def line(n: int) -> Network:
@@ -58,7 +94,7 @@ def line(n: int) -> Network:
     if n < 1:
         raise GraphError(f"line needs n >= 1, got {n}")
     edges = [(i, i + 1, 1) for i in range(n - 1)]
-    return Network(n, edges, Topology("line", {"n": n}))
+    return _product(n, edges, Topology("line", {"n": n}), _path(n))
 
 
 def grid_node(r: int, c: int, cols: int) -> int:
@@ -90,7 +126,7 @@ def grid(rows: int, cols: int | None = None) -> Network:
             if r + 1 < rows:
                 edges.append((v, v + cols, 1))
     topo = Topology("grid", {"rows": rows, "cols": cols})
-    return Network(rows * cols, edges, topo)
+    return _product(rows * cols, edges, topo, _path(rows), _path(cols))
 
 
 def cluster(alpha: int, beta: int, gamma: int | None = None) -> Network:
@@ -144,7 +180,8 @@ def hypercube(dim: int) -> Network:
             v = u ^ (1 << b)
             if u < v:
                 edges.append((u, v, 1))
-    return Network(n, edges, Topology("hypercube", {"dim": dim, "n": n}))
+    topo = Topology("hypercube", {"dim": dim, "n": n})
+    return _product(n, edges, topo, *[_path(2)] * dim)
 
 
 def butterfly(dim: int) -> Network:
@@ -221,7 +258,7 @@ def ddim_grid(dims: Sequence[int]) -> Network:
 
     _walk([])
     topo = Topology("ddim-grid", {"dims": dims, "strides": tuple(strides)})
-    return Network(n, edges, topo)
+    return _product(n, edges, topo, *[_path(d) for d in dims])
 
 
 def torus(rows: int, cols: int | None = None) -> Network:
@@ -243,7 +280,7 @@ def torus(rows: int, cols: int | None = None) -> Network:
             edges.append((v, grid_node(r, (c + 1) % cols, cols), 1))
             edges.append((v, grid_node((r + 1) % rows, c, cols), 1))
     topo = Topology("torus", {"rows": rows, "cols": cols})
-    return Network(rows * cols, edges, topo)
+    return _product(rows * cols, edges, topo, _cycle(rows), _cycle(cols))
 
 
 def _require_square(s: int) -> int:

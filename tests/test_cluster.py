@@ -568,6 +568,7 @@ class TestClusterRuns:
             workers=2, windows=10,
             retry=RetryPolicy(max_retries=1, max_wait=2),
         )
+        base = run_cluster("grid", 3, None, STREAM, SVC, cfg)
         rep = run_cluster(
             "grid", 3, None, STREAM, SVC, cfg,
             chaos=ChaosPlan([WorkerKill(0, 2), WorkerKill(0, 5)]),
@@ -578,6 +579,11 @@ class TestClusterRuns:
         assert retired[0]["final_backlog"] == 0  # moved into lost
         survivors = [w for w in rep.per_worker if w["end"] == "done"]
         assert survivors and all(w["released"] > 0 for w in survivors)
+        # the retired class's arrivals after its last window are released
+        # and lost, not dropped: released matches the fault-free run's
+        assert (base.released, base.lost) == (40, 0)
+        assert (rep.released, rep.lost) == (base.released, 13)
+        assert retired[0]["released"] == base.per_worker[0]["released"]
 
     def test_stall_restart_matches_fault_free_run(self):
         cfg = quick_config(heartbeat_timeout_s=0.3)
@@ -612,6 +618,9 @@ class TestClusterRuns:
         # every incarnation hangs before its hello; the spy fails the
         # run instead of letting the supervisor respawn it forever
         retry = RetryPolicy(max_retries=1, max_wait=2)
+        base = run_cluster(
+            "grid", 3, None, STREAM, SVC, quick_config(workers=1)
+        )
         spawn = supervisor_mod._Supervisor._spawn
         procs = []
 
@@ -633,6 +642,9 @@ class TestClusterRuns:
         assert (rep.restarts, rep.stragglers) == (1, 2)
         assert len(procs) == retry.max_retries + 1
         assert not any(proc.is_alive() for proc in procs)
+        # no window ran, so every arrival is released and lost
+        assert rep.accounted and rep.lost == rep.released
+        assert rep.released == base.released > 0
 
     def test_reused_journal_dir_rejected(self, tmp_path):
         # recovery would replay the first run's journals as the second's

@@ -7,7 +7,15 @@ import pytest
 
 from repro.errors import GraphError, RecoveryError
 from repro.faults.routing import degraded_network
-from repro.network import MaskedNetwork, clique, grid, line, masked_csr
+from repro.network import (
+    MaskedNetwork,
+    clique,
+    grid,
+    hypercube,
+    line,
+    masked_csr,
+    torus,
+)
 from repro.network.graph import Network
 
 
@@ -22,6 +30,8 @@ DOWN_CASES = [
     (lambda: grid(6), [(0, 1)]),
     (lambda: grid(6), [(7, 8), (14, 20)]),
     (lambda: clique(8), [(4, 5), (0, 7)]),
+    (lambda: hypercube(4), [(0, 1), (5, 7)]),
+    (lambda: torus(4, 5), [(0, 1), (0, 15)]),  # (0, 15) wraps around
 ]
 
 
@@ -100,6 +110,17 @@ class TestLaziness:
         view = net.masked([(0, 1)])
         view.distance_matrix
         assert view.dijkstra_solves < net.n
+
+
+class TestPredecessors:
+    @pytest.mark.parametrize("build", [
+        lambda: grid(5), lambda: torus(4, 5), lambda: clique(6),
+    ])
+    def test_predecessors_keep_the_distance_matrix(self, build):
+        net = build()
+        before = net.distance_matrix
+        net._ensure_pred()
+        assert net.distance_matrix is before
 
 
 class TestMaskedCsr:

@@ -1,10 +1,16 @@
 """Unit tests for the topology builders."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+from repro.cluster import StreamSpec
+from repro.cluster.worker import WorkerSpec
 from repro.errors import GraphError
+from repro.io.serialize import network_from_dict, network_to_dict
 from repro.network import (
     butterfly,
     clique,
@@ -17,7 +23,9 @@ from repro.network import (
     line,
     lower_bound_grid,
     lower_bound_tree,
+    network_from_sizes,
     star,
+    torus,
 )
 from repro.network.properties import (
     has_unit_weights,
@@ -26,6 +34,8 @@ from repro.network.properties import (
     is_line,
     is_tree,
 )
+from repro.service import SchedulingService, ServiceConfig
+from repro.workloads import PoissonStream, spawn
 
 
 class TestClique:
@@ -303,3 +313,124 @@ class TestTorus:
         assert resolve_scheduler(
             topology=inst.network.topology.name
         ).name == "diameter"
+
+
+# every builder that hands its network per-axis distances, at the sizes
+# where a mixed-radix or broadcast slip would show: one node, a single
+# row or column, rectangles, 1-D and 3-D meshes, every small hypercube
+PRODUCT_FAMILIES = {
+    "line": [lambda: line(1), lambda: line(2), lambda: line(17)],
+    "grid": [
+        lambda: grid(1), lambda: grid(1, 7), lambda: grid(7, 1),
+        lambda: grid(3, 5), lambda: grid(6),
+    ],
+    "ddim_grid": [
+        lambda: ddim_grid([1]), lambda: ddim_grid([9]),
+        lambda: ddim_grid([2, 3, 4]), lambda: ddim_grid([3, 1, 2]),
+    ],
+    "torus": [
+        lambda: torus(3), lambda: torus(3, 7), lambda: torus(4, 5),
+        lambda: torus(6, 4),
+    ],
+    "hypercube": [lambda d=d: hypercube(d) for d in range(9)],
+    "clique": [
+        lambda: clique(1), lambda: clique(2), lambda: clique(9),
+        lambda: clique(40),
+    ],
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("all-pairs Dijkstra ran")
+
+
+def _spy():
+    """Patch the all-pairs solve to raise, counting its calls."""
+    return mock.patch("repro.network.graph.dijkstra", side_effect=_refuse)
+
+
+class TestProductDistances:
+    """The per-axis formula against the Dijkstra oracle, family by family."""
+
+    def test_formula_matches_dijkstra(self):
+        rng = np.random.default_rng(26)
+        for family, builders in PRODUCT_FAMILIES.items():
+            for build in builders:
+                net = build()
+                oracle = dijkstra(net._csr, directed=False).astype(np.int64)
+                got = net.distance_matrix
+                assert got.shape == oracle.shape == (net.n, net.n), family
+                assert got.dtype == oracle.dtype, family
+                assert np.array_equal(got, oracle), (family, net)
+                us = rng.integers(0, net.n, size=25)
+                vs = rng.integers(0, net.n, size=25)
+                assert np.array_equal(
+                    net.pair_distances(us, vs), oracle[us, vs]
+                )
+                u, v = int(us[0]), int(vs[0])
+                assert net.dist(u, v) == oracle[u, v]
+                assert net.diameter() == oracle.max()
+                subset = np.unique(rng.integers(0, net.n, size=6))
+                assert net.subset_diameter(subset.tolist()) == (
+                    oracle[np.ix_(subset, subset)].max()
+                )
+
+    def test_product_builders_never_solve(self):
+        with _spy() as spy:
+            for builders in PRODUCT_FAMILIES.values():
+                for build in builders:
+                    build().distance_matrix
+        assert spy.call_count == 0
+
+    def test_topology_tag_buys_no_formula(self):
+        # a 3x3 grid tag on the edges of a 9-node line: only the builder
+        # that made the edges may vouch for a product
+        data = network_to_dict(line(9))
+        data["topology"] = {"name": "grid", "params": {"rows": 3, "cols": 3}}
+        net = network_from_dict(data)
+        assert net.topology.name == "grid"
+        assert net.dist(0, 8) == 8
+        assert net.diameter() == 8
+
+
+class TestNoSolveOnTheServicePath:
+    """Fault-free windows on a product never solve; other families do."""
+
+    def _service(self, name, size, size2=None):
+        net = network_from_sizes(name, size, size2)
+        stream = PoissonStream(
+            net, w=24, k=2, rate=0.8, rng=spawn(26, "spy", name)
+        )
+        return SchedulingService(stream, ServiceConfig(window=8))
+
+    def test_fault_free_grid_service(self):
+        with _spy() as spy:
+            report = self._service("grid", 6).run(windows=12)
+        assert spy.call_count == 0
+        assert report.committed > 0
+
+    @pytest.mark.parametrize("name,size,size2", [
+        ("star", 3, 4), ("cluster", 3, 4), ("butterfly", 3, None),
+    ])
+    def test_non_product_service_still_solves(self, name, size, size2):
+        service = self._service(name, size, size2)
+        with _spy() as spy:
+            with pytest.raises(AssertionError, match="Dijkstra ran"):
+                service.run(windows=12)
+        assert spy.call_count == 1
+
+    def test_cluster_worker_incarnation(self, tmp_path):
+        spec = WorkerSpec(
+            worker=0, shards=2, topology="grid", size=6, size2=None,
+            stream=StreamSpec(kind="poisson", w=24, k=2, rate=0.8, seed=7),
+            service=ServiceConfig(window=8), windows=4,
+            journal_path=str(tmp_path / "worker-0.journal.jsonl"),
+            checkpoint_path=str(tmp_path / "worker-0.ckpt.json"),
+            checkpoint_every=4,
+        )
+        with _spy() as spy:
+            service = spec.build_service()
+            for window in range(4):
+                service.run_window(window)
+        assert spy.call_count == 0
+        assert service.accounting()["committed"] > 0
