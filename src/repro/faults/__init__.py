@@ -26,7 +26,7 @@ from .plan import (
 )
 from .recovery import reschedule_survivors
 from .report import DegradationReport, degradation_report
-from .routing import degraded_network, path_avoiding
+from .routing import degraded_network, path_avoiding, route_avoiding
 
 __all__ = [
     "LinkFailure",
@@ -42,5 +42,6 @@ __all__ = [
     "DegradationReport",
     "degradation_report",
     "path_avoiding",
+    "route_avoiding",
     "degraded_network",
 ]

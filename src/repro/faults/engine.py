@@ -4,7 +4,7 @@
 fault plan disrupts it, absorbing each disruption instead of aborting:
 
 * **link failures** -- legs are rerouted around down links with the shared
-  detour machinery (:func:`repro.faults.routing.path_avoiding`); when no
+  detour machinery (:func:`repro.faults.routing.route_avoiding`); when no
   route exists the hop waits for a repair with bounded exponential backoff
   (the engine probes, it does not peek at repair times);
 * **object stalls** -- frozen objects retry their departure with the same
@@ -38,7 +38,7 @@ from ..sim.trace import CommitEvent
 from .backoff import RetryPolicy
 from .plan import FaultPlan
 from .recovery import reschedule_survivors
-from .routing import path_avoiding
+from .routing import route_avoiding
 
 __all__ = ["RetryPolicy", "FaultyTrace", "faulty_execute"]
 
@@ -158,7 +158,7 @@ def _route_object(
             continue
         if path is None:
             down = plan.down_edges(t)
-            path = path_avoiding(net, pos, dst, down)
+            path, healthy = route_avoiding(net, pos, dst, down)
             if path is None:
                 attempt += 1
                 if attempt > policy.max_retries:
@@ -171,7 +171,7 @@ def _route_object(
                 _blame_base_blocker(pos, t)
                 t += policy.wait(attempt)
                 continue
-            if down and path != net.shortest_path(pos, dst):
+            if not healthy:
                 reroutes += 1
                 _blame_base_blocker(pos, t)
         nxt = path[1]

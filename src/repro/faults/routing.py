@@ -5,8 +5,10 @@ machinery (:func:`repro.sim.reroute.detour_candidates` -- the shortest path
 plus via-an-intermediate-node alternatives) and returns the first candidate
 touching no down link; when every candidate is blocked it falls back to a
 full Dijkstra on the masked adjacency, which is complete: it finds a route
-iff one exists in the degraded graph.  :func:`degraded_network` returns a
-lazy :class:`~repro.network.masked.MaskedNetwork` view without the failed
+iff one exists in the degraded graph.  :func:`route_avoiding` returns the
+same path and says whether it is the healthy shortest path.
+:func:`degraded_network` returns a lazy
+:class:`~repro.network.masked.MaskedNetwork` view without the failed
 edges -- the substrate recovery rescheduling plans against after permanent
 failures, reusing the healthy network's cached distance rows instead of
 recomputing the all-pairs matrix from scratch.
@@ -24,7 +26,7 @@ from ..network.graph import Network
 from ..network.masked import masked_csr
 from ..sim.reroute import detour_candidates
 
-__all__ = ["path_avoiding", "degraded_network"]
+__all__ = ["path_avoiding", "route_avoiding", "degraded_network"]
 
 Edge = Tuple[int, int]
 
@@ -58,6 +60,32 @@ def _masked_path(
     return path
 
 
+def route_avoiding(
+    net: Network,
+    src: int,
+    dst: int,
+    down: FrozenSet[Edge],
+    max_detours: int = 16,
+) -> Tuple[Optional[List[int]], bool]:
+    """:func:`path_avoiding`'s path, and whether it is the healthy one.
+
+    The flag is True iff the path is ``net.shortest_path(src, dst)``
+    itself, which no link in ``down`` blocks; a caller learns that it was
+    rerouted without rebuilding the healthy path to compare.
+    """
+    if src == dst:
+        return [src], True
+    base = net.shortest_path(src, dst)
+    if not down or not _uses_down(base, down):
+        return base, True
+    # the detours are only built once the shortest path is known blocked
+    slack = 2 * net.diameter()
+    for path in detour_candidates(net, src, dst, slack, max_detours)[1:]:
+        if not _uses_down(path, down):
+            return path, False
+    return _masked_path(net, src, dst, down), False
+
+
 def path_avoiding(
     net: Network,
     src: int,
@@ -71,17 +99,7 @@ def path_avoiding(
     then a complete masked-graph search.  Returns None iff ``down``
     disconnects ``dst`` from ``src``.
     """
-    if src == dst:
-        return [src]
-    base = net.shortest_path(src, dst)
-    if not down or not _uses_down(base, down):
-        return base
-    # the detours are only built once the shortest path is known blocked
-    slack = 2 * int(net.distance_matrix.max())
-    for path in detour_candidates(net, src, dst, slack, max_detours)[1:]:
-        if not _uses_down(path, down):
-            return path
-    return _masked_path(net, src, dst, down)
+    return route_avoiding(net, src, dst, down, max_detours)[0]
 
 
 def degraded_network(net: Network, down: FrozenSet[Edge]) -> Network:

@@ -13,7 +13,9 @@ needs ``w`` time steps).  :class:`Network` wraps that model with:
   per-axis distance matrices by broadcasting; every other network runs
   :func:`scipy.sparse.csgraph.dijkstra` on its CSR adjacency;
 * shortest-path reconstruction for object routing in the simulator, from
-  Dijkstra's predecessor matrix;
+  Dijkstra's predecessor matrix, and per-source distance and predecessor
+  rows as Python lists, each made with one ``tolist()`` the first time
+  its source is asked for, so per-hop loops index plain ints;
 * a :class:`Topology` metadata tag so topology-specific schedulers
   (grid/cluster/star/...) can recover structural parameters without
   re-detecting them.
@@ -138,8 +140,19 @@ class Network:
                 )
 
         self._axes: tuple[np.ndarray, ...] | None = None
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        """Empty every structure built lazily from the edges.
+
+        :class:`~repro.network.masked.MaskedNetwork` runs it too, since a
+        view never runs ``Network.__init__``.
+        """
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
+        self._diameter: int | None = None
+        self._dist_lists: dict[int, list[int]] = {}
+        self._pred_lists: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------ #
     # basic structure
@@ -238,6 +251,34 @@ class Network:
         """Shortest-path distance between ``u`` and ``v``."""
         return int(self._ensure_dist()[u, v])
 
+    def distance_row(self, u: int) -> list[int]:
+        """Distances from ``u`` to every node, as a Python list.
+
+        Made from ``u``'s row of the distance matrix with one
+        ``tolist()`` on first use, then cached per source (not per pair),
+        so a per-hop loop reads plain ints.  The list is the cache; treat
+        it as read-only.
+        """
+        row = self._dist_lists.get(u)
+        if row is None:
+            row = self._dist_lists[u] = self._row(u).tolist()
+        return row
+
+    def _row(self, u: int) -> np.ndarray:
+        """``u``'s row of the distance matrix."""
+        return self._ensure_dist()[u]
+
+    def _pred_row(self, u: int) -> np.ndarray:
+        """``u``'s row of the predecessor matrix."""
+        return self._ensure_pred()[u]
+
+    def _pred_list(self, u: int) -> list[int]:
+        """``u``'s predecessor row as a Python list, cached per source."""
+        row = self._pred_lists.get(u)
+        if row is None:
+            row = self._pred_lists[u] = self._pred_row(u).tolist()
+        return row
+
     def pair_distances(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Batched distance gather: ``result[i] = dist(us[i], vs[i])``.
 
@@ -248,14 +289,19 @@ class Network:
         return self._ensure_dist()[us, vs]
 
     def shortest_path(self, u: int, v: int) -> list[int]:
-        """A shortest path from ``u`` to ``v`` as a list of nodes (inclusive)."""
+        """A shortest path from ``u`` to ``v`` as a list of nodes (inclusive).
+
+        Walks ``u``'s predecessor row back from ``v``, as a Python list
+        made once per source, so the path is the one the predecessor
+        matrix names.
+        """
         if u == v:
             return [u]
-        pred = self._ensure_pred()
+        pred = self._pred_list(u)
         path = [v]
         cur = v
         while cur != u:
-            cur = int(pred[u, cur])
+            cur = pred[cur]
             if cur < 0:  # pragma: no cover - connectivity validated at init
                 raise GraphError(f"no path between {u} and {v}")
             path.append(cur)
@@ -263,8 +309,10 @@ class Network:
         return path
 
     def diameter(self) -> int:
-        """Maximum shortest-path distance between any pair of nodes."""
-        return int(self._ensure_dist().max())
+        """Maximum shortest-path distance between any pair of nodes (cached)."""
+        if self._diameter is None:
+            self._diameter = int(self._ensure_dist().max())
+        return self._diameter
 
     def eccentricity(self, u: int) -> int:
         """Maximum distance from ``u`` to any node."""

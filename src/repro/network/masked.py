@@ -93,8 +93,7 @@ class MaskedNetwork(Network):
                     f"removing {sorted(norm)} disconnects the network: "
                     f"found {ncomp} components"
                 )
-        self._dist: np.ndarray | None = None
-        self._pred: np.ndarray | None = None
+        self._init_caches()
         self._dist_rows: Dict[int, np.ndarray] = {}
         self._pred_rows: Dict[int, np.ndarray] = {}
         self._reusable_rows: np.ndarray | None = None
@@ -165,29 +164,21 @@ class MaskedNetwork(Network):
             out[sel] = self._row(u)[vs[sel]]
         return out
 
-    def shortest_path(self, u: int, v: int) -> list[int]:
-        """A shortest path avoiding the down edges."""
-        if u == v:
-            return [u]
-        self._row(u)
-        pred_row = self._pred_rows.get(u)
-        if pred_row is None:
-            if self._pred is not None:
-                pred_row = self._pred[u]
-            else:
-                # row was reused from the parent: no shortest path from u
-                # touches a down edge, so the parent's tree is valid here
-                pred_row = self._parent._ensure_pred()[u]
-            self._pred_rows[u] = pred_row
-        path = [v]
-        cur = v
-        while cur != u:
-            cur = int(pred_row[cur])
-            if cur < 0:  # pragma: no cover - connectivity checked at init
-                raise GraphError(f"no path between {u} and {v}")
-            path.append(cur)
-        path.reverse()
-        return path
+    def _pred_row(self, u: int) -> np.ndarray:
+        """``u``'s predecessors on shortest paths avoiding the down edges."""
+        self._row(u)  # solves u, predecessors too, while rows are lazy
+        row = self._pred_rows.get(u)
+        if row is not None:
+            return row
+        if self._pred is not None:
+            return self._pred[u]
+        if self._reusable()[u]:
+            # no shortest path from u touches a down edge, so the
+            # parent's tree is valid here
+            return self._parent._ensure_pred()[u]
+        # the row came from the full matrix, solved without predecessors
+        self._solve(u)
+        return self._pred_rows[u]
 
     def _ensure_dist(self) -> np.ndarray:
         if self._dist is None:

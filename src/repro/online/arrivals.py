@@ -29,6 +29,10 @@ class TimedTransaction:
     txn: Transaction
 
 
+def _release_order(timed: TimedTransaction) -> tuple:
+    return (timed.release, timed.txn.tid, timed.txn.node)
+
+
 class OnlineWorkload:
     """A release-ordered stream of transactions over a network."""
 
@@ -38,7 +42,9 @@ class OnlineWorkload:
         arrivals: Sequence[TimedTransaction],
         object_homes: Dict[int, int],
     ) -> None:
-        self.arrivals = tuple(sorted(arrivals))
+        # the order TimedTransaction's (release, txn) comparison gives,
+        # Transaction comparing (tid, node), without the dataclass calls
+        self.arrivals = tuple(sorted(arrivals, key=_release_order))
         for a in self.arrivals:
             if a.release < 0:
                 raise InstanceError(

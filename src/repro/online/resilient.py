@@ -21,7 +21,7 @@ absorbs each disruption without giving up determinism:
   traverse it.  Blocked hops (down link, stalled object, transient
   partition) retry with the shared bounded deterministic exponential
   backoff (:class:`repro.faults.backoff.RetryPolicy`) and reroute around
-  failures with :func:`repro.faults.routing.path_avoiding`;
+  failures with :func:`repro.faults.routing.route_avoiding`;
 * **leases die with their node**: an object parked on -- or in flight
   toward -- a node that crashes is restored from its durable home and
   re-auctioned to the highest-priority pending waiter by the normal
@@ -37,7 +37,13 @@ The engine is event-driven.  The plan is known up front, so when an
 object departs, the hops it will enter without meeting a fault (no stall
 of the object, no failure of the next link at the step it gets there)
 are laid out at once: a flight costs one event per fault-free segment,
-not one per hop.  Each object keeps the set of pending transactions
+not one per hop.  A flight that cannot meet a fault at all -- on a
+shortest path, its object never stalled, and no link the plan touches on
+any shortest path between its ends -- is laid out without walking its
+hops: it reaches each node ``x`` at its departure plus ``dist(src, x)``,
+one read of the source's cached distance row (the data-flow model's
+unit-speed move along a shortest path).  Other flights walk their hops.
+Each object keeps the set of pending transactions
 waiting for it, and only transactions and objects whose state changed at
 a step are re-examined for commit and dispatch.  The decisions and their
 times are those of the plain step-by-step loop (kept as the reference
@@ -62,7 +68,7 @@ from ..core.schedule import Schedule
 from ..errors import FaultError, SchedulingError
 from ..faults.backoff import RetryPolicy
 from ..faults.plan import FaultPlan
-from ..faults.routing import path_avoiding
+from ..faults.routing import route_avoiding
 from ..obs import events as obs_events
 from ..obs.recorder import Recorder, active
 from ..sim.sanitizer import InvariantSanitizer
@@ -146,16 +152,19 @@ class _Flight:
     fires at ``times[-1]``, the segment's far end.  While blocked,
     ``times`` is None and the event fires at ``retry_at``.  ``seq``
     names the flight's one live event; older heap entries are stale.
+    ``shortest`` holds while ``path`` is the healthy route the router
+    returned, or what is left of it: a shortest path to ``dest``.
     """
 
-    __slots__ = ("obj", "dest", "target_tid", "path", "times", "retry_at",
-                 "attempt", "seq")
+    __slots__ = ("obj", "dest", "target_tid", "path", "shortest", "times",
+                 "retry_at", "attempt", "seq")
 
     def __init__(self, obj: int, dest: int, target_tid: int) -> None:
         self.obj = obj
         self.dest = dest
         self.target_tid = target_tid
         self.path: Optional[List[int]] = None  # path[0] == position[obj]
+        self.shortest = False
         self.times: Optional[List[int]] = None  # set while flying
         self.retry_at: Optional[int] = None  # set while blocked
         self.attempt = 0
@@ -200,12 +209,19 @@ def run_resilient(
     net = inst.network
     plan.validate_against(net)
     prio = priority(workload, rng) if rng is not None else priority(workload)
+    rank_of = prio.__getitem__
     diameter = net.diameter()
     max_steps = workload.horizon + (inst.m + 1) * (diameter + 1) + 16
     if not plan.is_empty:
         max_steps += plan.latest_time + (
             policy.budget + diameter + 1
         ) * (inst.m + 1)
+
+    faulty = plan.faulty_links
+    stalled = plan.stalled_objects
+    # every faulty link with its weight, for the one-step test in _fly
+    faulty_hops = [(a, b, net.edge_weight(a, b)) for a, b in sorted(faulty)]
+    row = net.distance_row
 
     position: Dict[int, int] = dict(inst.object_homes)
     flights: Dict[int, _Flight] = {}
@@ -262,17 +278,52 @@ def run_resilient(
             )
             rec.count("resilient.retries")
 
+    def _clear(src: int, dst: int) -> bool:
+        """No faulty link lies on any shortest path from ``src`` to ``dst``."""
+        if not faulty_hops:
+            return True
+        ds, dt = row(src), row(dst)
+        span = ds[dst]
+        for a, b, w in faulty_hops:
+            if ds[a] + w + dt[b] == span or ds[b] + w + dt[a] == span:
+                return False
+        return True
+
     def _fly(fl: _Flight, now: int) -> None:
         """Depart along ``fl.path`` at ``now``; one event per segment.
 
-        The segment runs hop after hop until the object reaches its
-        destination or a hop it would enter next is blocked at the step it
-        gets there (the object is stalled, or the link is down); the event
+        A flight that cannot meet a fault is laid out in one step from
+        the distance row of its first node: its path is a shortest path
+        (``fl.shortest``), its object never stalls, and no faulty link
+        lies on any shortest path between the path's ends, so it reaches
+        ``path[i]`` at ``now + dist(path[0], path[i])``.  Any other
+        flight walks its segment hop by hop (:func:`_walk`).  The event
         at the segment's end then decides the next move.
         """
+        path = fl.path
+        if fl.shortest and fl.obj not in stalled and _clear(path[0], fl.dest):
+            dist = row(path[0])
+            times = [now + dist[x] for x in path]
+            if sanitizer is not None:
+                for i in range(1, len(path)):
+                    sanitizer.check_hop(times[i - 1], path[i - 1], path[i],
+                                        plan)
+        else:
+            times = _walk(fl, now)
+        fl.attempt = 0
+        fl.retry_at = None
+        fl.times = times
+        _schedule(fl, times[-1])
+
+    def _walk(fl: _Flight, now: int) -> List[int]:
+        """The times of ``fl``'s segment, one hop at a time from ``now``.
+
+        The segment runs hop after hop until the object reaches its
+        destination or a hop it would enter next is blocked at the step
+        it gets there (the object is stalled, or the link is down).
+        """
         path, dest = fl.path, fl.dest
-        stalls = fl.obj in plan.stalled_objects
-        faulty = plan.faulty_links
+        stalls = fl.obj in stalled
         times = [now]
         u, v, i = path[0], path[1], 1
         hot = ((u, v) if u < v else (v, u)) in faulty
@@ -291,36 +342,38 @@ def run_resilient(
             hot = ((u, v) if u < v else (v, u)) in faulty
             if hot and plan.link_down(u, v, now) is not None:
                 break
-        fl.attempt = 0
-        fl.retry_at = None
-        fl.times = times
-        _schedule(fl, now)
+        return times
 
     def _try_depart(fl: _Flight, now: int) -> None:
         """Enter the next hop at ``now``, or back off if blocked."""
         nonlocal reroutes
-        pos = position[fl.obj]
-        if plan.stall(fl.obj, now) is not None:
+        obj = fl.obj
+        pos = position[obj]
+        if obj in stalled and plan.stall(obj, now) is not None:
             _backoff(fl, now)
             return
+        path = fl.path
         stale = (
-            fl.path is None
-            or len(fl.path) < 2
-            or fl.path[0] != pos
-            or plan.link_down(pos, fl.path[1], now) is not None
+            path is None
+            or len(path) < 2
+            or path[0] != pos
+            or (
+                ((pos, path[1]) if pos < path[1] else (path[1], pos)) in faulty
+                and plan.link_down(pos, path[1], now) is not None
+            )
         )
         if stale:
-            down = plan.down_edges(now)
-            path = path_avoiding(net, pos, fl.dest, down)
+            down = plan.down_edges(now) if faulty else frozenset()
+            path, fl.shortest = route_avoiding(net, pos, fl.dest, down)
             if path is None:
                 fl.path = None
                 _backoff(fl, now)
                 return
-            if down and path != net.shortest_path(pos, fl.dest):
+            if not fl.shortest:
                 reroutes += 1
                 if rec.enabled:
                     rec.record(
-                        obs_events.RerouteEvent(now, fl.obj, pos, fl.dest)
+                        obs_events.RerouteEvent(now, obj, pos, fl.dest)
                     )
                     rec.count("resilient.reroutes")
             fl.path = path
@@ -331,12 +384,12 @@ def run_resilient(
         obj = fl.obj
         k = len(fl.times) - 1
         position[obj] = fl.path[k]
-        fl.path = fl.path[k:]
         fl.times = None
         if position[obj] == fl.dest or fl.target_tid not in pending:
             del flights[obj]
             dirty.add(obj)
             return
+        fl.path = fl.path[k:]
         _try_depart(fl, now)
         if fl.retry_at is not None and fl.retry_at <= now:
             _try_depart(fl, now)  # a zero-wait backoff probes again at once
@@ -417,6 +470,9 @@ def run_resilient(
                 del fl.times[j + 1:]
                 _schedule(fl, fl.times[j])
 
+    def _commit_rank(txn) -> tuple:
+        return (prio[txn.tid], admitted[txn.tid])
+
     def _admit(timed: TimedTransaction) -> None:
         txn = timed.txn
         if txn.node in dead:
@@ -476,19 +532,25 @@ def run_resilient(
                     )
                 )
                 rec.count("resilient.shed")
-        # commits: waiters of dirty objects with all objects on-node
-        waiting = {tid for o in dirty for tid in waiters.get(o, ())}
-        committed_now = sorted(
-            (
-                txn
-                for txn in map(pending.__getitem__, waiting)
-                if all(
-                    o not in flights and position[o] == txn.node
-                    for o in txn.objects
-                )
-            ),
-            key=lambda txn: (prio[txn.tid], admitted[txn.tid]),
-        )
+        # commits: waiters of dirty objects with all objects on-node; a
+        # waiter of an object that is flying or elsewhere cannot commit
+        ready: Dict[int, object] = {}
+        for o in dirty:
+            if o in flights:
+                continue
+            at = position[o]
+            for tid in waiters.get(o, ()):
+                txn = pending[tid]
+                if txn.node != at or tid in ready:
+                    continue
+                for other in txn.objects:
+                    if other in flights or position[other] != at:
+                        break
+                else:
+                    ready[tid] = txn
+        committed_now = list(ready.values())
+        if len(committed_now) > 1:
+            committed_now.sort(key=_commit_rank)
         for txn in committed_now:
             if sanitizer is not None:
                 sanitizer.check_commit(
@@ -507,9 +569,14 @@ def run_resilient(
             sanitizer.check_step(t, position, flights.keys(), pending, net.n)
         # dispatch: dirty idle objects chase their best waiter
         for obj in sorted(dirty):
-            if obj in flights or obj in unrecoverable or not waiters.get(obj):
+            ws = waiters.get(obj)
+            if not ws or obj in flights or obj in unrecoverable:
                 continue
-            target = pending[min(waiters[obj], key=prio.__getitem__)]
+            if len(ws) == 1:
+                (tid,) = ws
+            else:
+                tid = min(ws, key=rank_of)
+            target = pending[tid]
             if position[obj] == target.node:
                 continue
             if sanitizer is not None:

@@ -18,6 +18,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ChaosPlan,
@@ -710,6 +712,57 @@ class TestClusterRuns:
                 "grid", 3, None, STREAM, SVC, quick_config(),
                 chaos=ChaosPlan([WorkerKill(5, 2)]),
             )
+
+
+@pytest.fixture(scope="module")
+def fault_free():
+    return run_cluster("grid", 3, None, STREAM, SVC, quick_config())
+
+
+# distinct (worker, window) kill coordinates on quick_config's shape
+KILLS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 9)),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+class TestEveryArrivalAccounted:
+    """Whatever kills a run meets, the stream's arrivals are all released.
+
+    A worker that retires past its restart budget still counts its class's
+    later arrivals as released and lost, so ``released`` never moves.
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(kills=KILLS, max_retries=st.integers(0, 2))
+    def test_random_kills(self, fault_free, kills, max_retries):
+        cfg = quick_config(
+            retry=RetryPolicy(max_retries=max_retries, max_wait=2)
+        )
+        rep = run_cluster(
+            "grid", 3, None, STREAM, SVC, cfg,
+            chaos=ChaosPlan([WorkerKill(w, k) for w, k in kills]),
+        )
+        assert rep.accounted
+        assert rep.released == fault_free.released
+
+    def test_kill_then_stall(self, fault_free):
+        # the second failure is a silent worker, found by its heartbeat
+        cfg = quick_config(
+            heartbeat_timeout_s=0.3,
+            retry=RetryPolicy(max_retries=1, max_wait=2),
+        )
+        rep = run_cluster(
+            "grid", 3, None, STREAM, SVC, cfg,
+            chaos=ChaosPlan([
+                WorkerKill(1, 3), WorkerStall(1, 6, seconds=30.0),
+            ]),
+        )
+        assert (rep.restarts, rep.stragglers) == (1, 1)
+        assert rep.per_worker[1]["end"] == "retired"
+        assert rep.accounted
+        assert rep.released == fault_free.released
+        assert rep.lost > 0
 
 
 class TestClusterReport:

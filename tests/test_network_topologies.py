@@ -393,6 +393,90 @@ class TestProductDistances:
         assert net.diameter() == 8
 
 
+def _matrix_walk(net, u, v):
+    """A shortest path read off the predecessor matrix scalar by scalar.
+
+    The body ``Network.shortest_path`` had before its per-source list
+    rows, kept as the oracle the rows must reproduce.
+    """
+    if u == v:
+        return [u]
+    pred = net._ensure_pred()
+    path = [v]
+    cur = v
+    while cur != u:
+        cur = int(pred[u, cur])
+        assert cur >= 0, (u, v)
+        path.append(cur)
+    path.reverse()
+    return path
+
+
+# the product families plus three that keep Dijkstra for their distances
+ROW_FAMILIES = {
+    **PRODUCT_FAMILIES,
+    "star": [lambda: star(1, 1), lambda: star(3, 4)],
+    "cluster": [lambda: cluster(3, 4, 5), lambda: cluster(2, 3, 4)],
+    "butterfly": [lambda: butterfly(1), lambda: butterfly(3)],
+}
+
+
+class TestRowLists:
+    """Per-source Python rows against the matrices they are made from."""
+
+    def test_rows_match_the_matrix_walk(self):
+        for family, builders in ROW_FAMILIES.items():
+            for build in builders:
+                net = build()
+                for u in range(net.n):
+                    for v in range(net.n):
+                        assert net.shortest_path(u, v) == _matrix_walk(
+                            net, u, v
+                        ), (family, net, u, v)
+                    row = net.distance_row(u)
+                    assert type(row) is list, family
+                    assert row == net.distance_matrix[u].tolist(), family
+                    assert net.distance_row(u) is row  # one list per source
+                assert net.diameter() == net.distance_matrix.max(), family
+
+    def test_masked_rows_avoid_the_down_links(self):
+        parent = grid(5)
+        down = {(6, 7), (7, 12), (0, 5)}
+        view = parent.masked(down)
+        oracle = dijkstra(view._csr, directed=False).astype(np.int64)
+        # rows first: the view's own numpy row cache must still serve
+        for u in range(view.n):
+            assert view.distance_row(u) == oracle[u].tolist()
+            for v in range(view.n):
+                path = view.shortest_path(u, v)
+                hops = list(zip(path, path[1:]))
+                assert not {(min(e), max(e)) for e in hops} & down
+                assert sum(view.edge_weight(a, b) for a, b in hops) == (
+                    oracle[u, v]
+                )
+        us = np.arange(view.n).repeat(view.n)
+        vs = np.tile(np.arange(view.n), view.n)
+        assert np.array_equal(view.pair_distances(us, vs), oracle[us, vs])
+        assert view.dist(1, 12) == oracle[1, 12]
+        assert np.array_equal(view.distance_matrix, oracle)
+        assert view.diameter() == oracle.max()
+        assert parent.distance_row(1) == parent.distance_matrix[1].tolist()
+
+    def test_masked_paths_after_the_full_matrix(self):
+        # a source whose row came from the full masked matrix has no
+        # predecessors of its own yet; its paths must still avoid the
+        # down link instead of following the parent's tree through it
+        view = grid(4).masked({(0, 4)})
+        view.distance_matrix
+        for u in range(view.n):
+            for v in range(view.n):
+                path = view.shortest_path(u, v)
+                assert (0, 4) not in {
+                    (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
+                }
+                assert len(path) - 1 == view.dist(u, v)
+
+
 class TestNoSolveOnTheServicePath:
     """Fault-free windows on a product never solve; other families do."""
 

@@ -1,5 +1,7 @@
 """Unit tests for the fault-aware online runtime (repro.online.resilient)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,40 @@ class TestAdmissionPolicies:
         plain = run_resilient(wl)
         gated = run_resilient(wl, high_water=10**6)
         assert gated.commits == plain.commits
+
+
+class TestPlanQueries:
+    """The engine asks the plan only where the plan can say yes."""
+
+    QUERIES = ("link_down", "delay_factor", "down_edges", "stall")
+
+    def _spied(self, plan):
+        for name in self.QUERIES:
+            setattr(plan, name, mock.Mock(side_effect=getattr(plan, name)))
+        return plan
+
+    def test_stall_of_an_unrequested_object_asks_nothing(self):
+        wl = stream(grid(4), 12, seed=3)
+        unused = max(wl.instance.objects) + 1  # no transaction requests it
+        plan = self._spied(FaultPlan([ObjectStall(unused, 1, 50)]))
+        res = run_resilient(wl, plan)
+        assert plan.link_down.call_count == 0
+        assert plan.delay_factor.call_count == 0
+        assert plan.down_edges.call_count == 0
+        assert plan.stall.call_count == 0
+        healthy = run_resilient(wl)
+        assert res.commits == healthy.commits
+        assert res.report.retries == res.report.reroutes == 0
+
+    def test_stall_is_asked_only_about_the_stalled_object(self):
+        wl = stream(grid(4), 12, seed=3)
+        stalled = min(wl.instance.objects)
+        plan = self._spied(FaultPlan([ObjectStall(stalled, 1, 6)]))
+        res = run_resilient(wl, plan)
+        asked = {c.args[0] for c in plan.stall.call_args_list}
+        assert asked == {stalled}
+        assert plan.down_edges.call_count == plan.link_down.call_count == 0
+        assert res.report.committed == wl.m
 
 
 class TestReportRendering:

@@ -10,6 +10,9 @@ stream and metrics, sanitizer violations, and the type and message of any
 error -- on every topology, under crashes, permanent failures, high-water
 shedding, random and tied priorities, and tight retry policies.  The
 engine's ``lost_at`` must match the times of the lost events it records.
+Flights the engine lays out in one step from a distance row, and those
+that fall back to its hop walk, are both covered; so is a run without a
+sanitizer, which must decide exactly what an audited run decides.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from resilient_oracle import run_resilient_stepwise
 from repro.core import Transaction
 from repro.errors import FaultError, SchedulingError
 from repro.faults import (
+    DelaySpike,
     FaultPlan,
+    LinkFailure,
     NodeCrash,
     RetryPolicy,
     random_fault_plan,
@@ -67,10 +72,11 @@ def flat_priority(workload, rng=None):
     return {a.txn.tid: (0,) for a in workload.arrivals}
 
 
-def _outcome(runner, wl, plan, prio, seed, high_water, policy):
+def _outcome(runner, wl, plan, prio, seed, high_water, policy,
+             sanitize=True):
     """Everything one run exposes, or the error it raised."""
     rec = MemoryRecorder()
-    san = InvariantSanitizer(raise_on_violation=False)
+    san = InvariantSanitizer(raise_on_violation=False) if sanitize else None
     rng = np.random.default_rng(seed) if prio is random_priority else None
     try:
         res = runner(
@@ -90,7 +96,8 @@ def _outcome(runner, wl, plan, prio, seed, high_water, policy):
             None if res.schedule is None else res.schedule.commit_times,
             dataclasses.replace(res.report, sanitizer_checks=0),
         )
-    return out, rec.events, rec.registry.snapshot(), san.violations
+    violations = san.violations if san is not None else []
+    return out, rec.events, rec.registry.snapshot(), violations
 
 
 def _assert_parity(wl, plan, prio=timestamp_priority, seed=0,
@@ -193,3 +200,77 @@ def test_empty_plan_visits_only_run_online_steps(topo):
     )
     assert hops > 0
     assert san.checks == online_san.checks + hops
+
+
+@pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_unsanitized_run_decides_the_same(topo, seed):
+    # the one-step layout must not hinge on the sanitizer: a bare run
+    # equals the audited one in every field but the sanitizer's counts
+    wl = _workload(topo, seed, count=12, rate=1.0)
+    plan = _plan(wl, 200 + seed, intensity=2.0, crash_rate=0.1, permanent=0.0)
+    args = (run_resilient, wl, plan, timestamp_priority, seed, None,
+            RetryPolicy())
+    audited = _outcome(*args)
+    assert audited[3] == []
+    assert _outcome(*args, sanitize=False) == audited
+
+
+def _one_flight(net, src, dst):
+    """Object 0 homed at ``src``, wanted at ``dst`` by a release at 0."""
+    return OnlineWorkload(
+        net, [TimedTransaction(0, Transaction(0, dst, {0}))], {0: src}
+    )
+
+
+def test_fault_on_another_shortest_path_falls_back_to_the_walk():
+    # 0 -> 5 on grid(4) has two shortest paths; the link that fails lies
+    # on the one the flight does not take, so the flight walks its hops
+    # and still arrives as if healthy
+    net = grid(4)
+    route = net.shortest_path(0, 5)
+    off_route = ({(0, 1), (1, 5)} - {
+        (min(a, b), max(a, b)) for a, b in zip(route, route[1:])
+    }).pop()
+    a, b = off_route
+    assert net.dist(0, a) + 1 + net.dist(b, 5) == net.dist(0, 5)
+    wl = _one_flight(net, 0, 5)
+    out, *_ = _assert_parity(wl, FaultPlan([LinkFailure(a, b, 0, 20)]))
+    assert out[0] == run_resilient(wl).commits == {0: 3}
+
+
+def test_delay_spike_on_the_route_falls_back_to_the_walk():
+    # the spike triples the route's second hop: 1 + 3 steps from t=1
+    net = grid(4)
+    route = net.shortest_path(0, 5)
+    wl = _one_flight(net, 0, 5)
+    plan = FaultPlan([DelaySpike(route[1], route[2], 0, 20, 3.0)])
+    out, *_ = _assert_parity(wl, plan)
+    assert out[0] == {0: 5}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_faults_on_the_healthy_routes_on_grid(seed):
+    # random streams on grid(4) with spikes and failures on a third of
+    # the links the healthy home-to-node routes use: some departures
+    # meet them, others run between ends no faulty link lies between
+    wl = _workload("grid", seed, count=12, rate=3.0)
+    net = wl.instance.network
+    homes = wl.instance.object_homes
+    hops = sorted({
+        (min(a, b), max(a, b))
+        for timed in wl.arrivals
+        for o in timed.txn.objects
+        for path in [net.shortest_path(homes[o], timed.txn.node)]
+        for a, b in zip(path, path[1:])
+    })
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(hops), size=max(1, len(hops) // 3), replace=False)
+    events = []
+    for n, i in enumerate(sorted(picks.tolist())):
+        a, b = hops[i]
+        if n % 2:
+            events.append(LinkFailure(a, b, 2, 5))
+        else:
+            events.append(DelaySpike(a, b, 1, 30, 2.0))
+    _assert_parity(wl, FaultPlan(events))
