@@ -25,16 +25,18 @@ Two assignment modes (``StreamSpec.assign``):
   merge reconstructs the cluster-wide cross-shard volume.
 
 Every worker still draws every arrival, which keeps the generators
-aligned, but reads each as a plain row and builds transactions only for
-the rows it owns.
+aligned, but draws a window as columns (one block of generator words,
+decoded vectorized), keeps its own rows with one mask over them, and
+builds transactions only for those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.transaction import Transaction
+import numpy as np
+
 from ..errors import ClusterError
 from ..network.graph import Network
 from ..network.sharding import node_shards
@@ -142,11 +144,16 @@ class ShardedStream:
         self.shards = int(shards)
         self.shard = int(shard)
         self.assign = assign
-        # shard assignment needs the network's shard partition up front;
+        # each object's network shard, the one its home lies in; shard
+        # assignment needs the network's shard partition up front, and
         # raising TopologyError here fails the cluster before any fork
-        self._shard_of = (
-            node_shards(base.network) if assign == "shard" else None
-        )
+        self._object_shard = None
+        if assign == "shard":
+            shard_of = node_shards(base.network)
+            self._object_shard = np.array(
+                [shard_of[base.object_homes[o]] for o in range(base.w)],
+                np.int64,
+            )
         self._released = 0
         self._cross = 0
 
@@ -184,43 +191,29 @@ class ShardedStream:
         """Owned cross-shard arrivals so far (0 under ``assign="tid"``)."""
         return self._cross
 
-    def _assign(
-        self, tid: int, node: int, objects: Tuple[int, ...]
-    ) -> Tuple[int, bool]:
-        """One arrival's assignment class, and whether it crosses shards.
-
-        ``"tid"`` mode is the plain residue class, never cross.
-        ``"shard"`` mode is the coordinator handoff: the smallest network
-        shard homing any of the arrival's objects (its host node's shard
-        when it has none), folded mod ``shards`` -- every worker computes
-        the same coordinator from the spec alone, so cross-shard arrivals
-        (objects homed in >= 2 network shards) are owned by exactly one
-        worker with no supervisor traffic.
-        """
-        if self._shard_of is None:
-            return tid % self.shards, False
-        homes = self.base.object_homes
-        shards = {self._shard_of[homes[obj]] for obj in objects}
-        coordinator = min(shards) if shards else self._shard_of[node]
-        return coordinator % self.shards, len(shards) >= 2
-
     def window(self, start: int, end: int) -> List[TimedTransaction]:
         """Owned arrivals in ``[start, end)``; unowned draws are discarded.
 
         The base stream still draws every arrival (keeping the generator
-        aligned across all workers), as rows; this shard builds
-        transactions only for the rows of its own class.  Under
-        ``assign="shard"`` the owned cross-shard arrivals are tallied in
-        :attr:`cross_released`.
+        aligned across all workers), as columns; one mask picks this
+        shard's rows and only those become transactions.  ``"tid"`` mode
+        owns the residue class ``tid mod shards``.  ``"shard"`` mode is
+        the coordinator handoff: the smallest network shard homing any of
+        a row's objects, folded mod ``shards``, so every worker computes
+        the same coordinator from the spec alone; a row whose objects lie
+        in two or more network shards is cross-shard, and the owned ones
+        are tallied in :attr:`cross_released`.
         """
-        kept: List[TimedTransaction] = []
-        for release, tid, node, objects in self.base.rows(start, end):
-            cls, cross = self._assign(tid, node, objects)
-            if cls == self.shard:
-                kept.append(
-                    TimedTransaction(release, Transaction(tid, node, objects))
-                )
-                self._cross += cross
+        drawn = self.base.columns(start, end)
+        if self._object_shard is None:
+            owned = drawn.tid % self.shards == self.shard
+        else:
+            shards = self._object_shard[drawn.objects]
+            coordinator = shards.min(axis=1)
+            owned = coordinator % self.shards == self.shard
+            self._cross += int(np.count_nonzero(
+                shards.max(axis=1)[owned] != coordinator[owned]))
+        kept = drawn.select(owned).timed()
         self._released += len(kept)
         return kept
 

@@ -11,6 +11,7 @@ from .generators import (
 from .seeds import DEFAULT_SEED, root_rng, spawn
 from .streams import (
     AdversarialStream,
+    ArrivalColumns,
     ArrivalStream,
     MMPPStream,
     PoissonStream,
@@ -24,6 +25,7 @@ __all__ = [
     "line_span_instance",
     "homes_at_random_requesters",
     "ArrivalStream",
+    "ArrivalColumns",
     "PoissonStream",
     "MMPPStream",
     "AdversarialStream",

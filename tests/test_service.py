@@ -37,7 +37,7 @@ from repro.network import TOPOLOGY_INFO, clique, grid, line
 from repro.network.registry import network_from_sizes
 from repro.obs import MemoryRecorder
 from repro.obs.events import CrashEvent, LostEvent
-from repro.online.arrivals import OnlineWorkload
+from repro.online.arrivals import OnlineWorkload, TimedTransaction
 from repro.service import (
     SaturationDetector,
     SchedulingService,
@@ -46,8 +46,7 @@ from repro.service import (
     run_service,
 )
 from repro.service.loop import _Entry
-from repro.workloads import PoissonStream, spawn
-from repro.workloads.streams import ArrivalStream
+from repro.workloads import AdversarialStream, PoissonStream, spawn
 
 
 def _stream(net, rate, limit=None, key="svc", w=12, k=2):
@@ -55,43 +54,49 @@ def _stream(net, rate, limit=None, key="svc", w=12, k=2):
                          limit=limit)
 
 
+def _rewrite(arrivals, node=None, extra=()):
+    """Arrivals with each node replaced by ``node(tid)`` and ``extra``
+    objects added."""
+    return [
+        TimedTransaction(tt.release, Transaction(
+            tt.txn.tid, tt.txn.node if node is None else node(tt.txn.tid),
+            tt.txn.objects | set(extra)))
+        for tt in arrivals
+    ]
+
+
 class _RoundRobinStream(PoissonStream):
     """Poisson arrivals on distinct nodes (node = tid), for parity tests."""
 
-    def _draw_node(self):
-        return self._next_tid % self.network.n
+    def window(self, start, end):
+        return _rewrite(super().window(start, end),
+                        node=lambda tid: tid % self.network.n)
 
 
-class _BurstOnceStream(ArrivalStream):
-    """A fixed burst at t=0: node i requests object 0 (homed at node 0)."""
+def _burst_once(net, count, rng):
+    """A fixed burst at t=0: node i requests object 0 (homed at node 0).
 
-    def __init__(self, net, count, rng):
-        super().__init__(net, w=2, k=1, rng=rng, limit=count)
-        self.count = count
-        self.object_homes = {0: 0, 1: 0}
-
-    def _count_at(self, t):
-        return self.count if t == 0 else 0
-
-    def _draw_node(self):
-        return self._next_tid % self.network.n
-
-    def _draw_objects(self):
-        return (0,)
+    An adversary with a full bucket of ``count`` dumps it at t=0 on
+    nodes 0, 1, ...; with ``k = 1`` every transaction is hot object 0.
+    """
+    stream = AdversarialStream(net, w=2, k=1, rho=1.0, burst=count, rng=rng,
+                               limit=count)
+    stream.object_homes = {0: 0, 1: 0}
+    return stream
 
 
 class _UnhomedObjectStream(PoissonStream):
     """Poisson arrivals that also use object 10000, which has no home."""
 
-    def _draw_objects(self):
-        return super()._draw_objects() + (10000,)
+    def window(self, start, end):
+        return _rewrite(super().window(start, end), extra=(10000,))
 
 
 class _OffNetworkStream(PoissonStream):
     """Poisson arrivals pinned to node 12, outside a grid(3)."""
 
-    def _draw_node(self):
-        return 12
+    def window(self, start, end):
+        return _rewrite(super().window(start, end), node=lambda tid: 12)
 
 
 class TestConfig:
@@ -402,7 +407,7 @@ class TestFaults:
         # once, at the crash
         rec = MemoryRecorder()
         svc = SchedulingService(
-            _BurstOnceStream(line(5), count=5, rng=spawn(11, "burst")),
+            _burst_once(line(5), count=5, rng=spawn(11, "burst")),
             ServiceConfig(window=4), plan=FaultPlan([NodeCrash(4, 8)]),
             recorder=rec,
         )
@@ -448,7 +453,7 @@ class TestFaults:
         plan = FaultPlan([LinkFailure(2, 3, 0, 40), NodeCrash(1, 17)])
         cfg = ServiceConfig(retry=RetryPolicy(max_retries=2, max_wait=2))
         svc = SchedulingService(
-            _BurstOnceStream(line(5), count=5, rng=spawn(11, "burst")),
+            _burst_once(line(5), count=5, rng=spawn(11, "burst")),
             cfg, plan=plan,
         )
         rep = svc.run()
@@ -459,7 +464,7 @@ class TestFaults:
         # a permanent partition on a line: object 0 lives across the cut,
         # every window fails, retries back off, budget finally exhausts
         net = line(4)
-        stream = _BurstOnceStream(net, count=3, rng=spawn(11, "burst"))
+        stream = _burst_once(net, count=3, rng=spawn(11, "burst"))
         plan = FaultPlan([LinkFailure(1, 2, 0, None)])
         cfg = ServiceConfig(
             window=4,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.line import LineScheduler
-from repro.network import clique, cluster, line, star
+from repro.network import clique, cluster, grid, line, star
 from repro.workloads import (
     DEFAULT_SEED,
     homes_at_random_requesters,
@@ -289,6 +289,20 @@ class TestArrivalStreams:
         assert len(got) == 7
         assert s.exhausted
         assert [a.txn.tid for a in got] == list(range(7))
+
+    def test_consecutive_takes_lose_no_arrival(self):
+        # take draws whole steps, so it hands out all of its last step's
+        # arrivals: the next take starts at the next tid
+        from repro.workloads import PoissonStream
+
+        s = PoissonStream(grid(3), w=8, k=2, rate=2.0, rng=spawn(1, "x"))
+        tids = []
+        for _ in range(20):
+            got = s.take(3)
+            assert len(got) >= 3
+            tids += [a.txn.tid for a in got]
+            assert s.released == len(tids)
+        assert tids == list(range(len(tids)))
 
     def test_stream_validation(self):
         from repro.errors import InstanceError
